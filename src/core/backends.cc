@@ -101,6 +101,7 @@ class CscBackend : public BackendBase {
     o.reserve_vertices = options.reserve_vertices;
     o.build_threads = options.num_threads;
     index_ = CscIndex::Build(graph, DegreeOrdering(graph), o);
+    labels_may_be_redundant_ = false;
     build_seconds_ = timer.ElapsedSeconds();
     build_threads_ = options.num_threads;
   }
@@ -118,11 +119,20 @@ class CscBackend : public BackendBase {
     MaintenanceStrategy strategy = index_->has_inverted_index()
                                        ? MaintenanceStrategy::kMinimality
                                        : MaintenanceStrategy::kRedundancy;
-    return FromBool(csc::InsertEdge(*index_, u, v, strategy));
+    bool applied = csc::InsertEdge(*index_, u, v, strategy);
+    if (applied && strategy == MaintenanceStrategy::kRedundancy) {
+      labels_may_be_redundant_ = true;
+    }
+    return FromBool(applied);
   }
 
   UpdateResult DeleteEdge(Vertex u, Vertex v) override {
     if (!index_) return UpdateResult::kUnsupported;
+    // RemoveEdge needs a minimal index (dynamic/decremental.h).
+    if (labels_may_be_redundant_) {
+      index_->Rebuild();
+      labels_may_be_redundant_ = false;
+    }
     return FromBool(csc::RemoveEdge(*index_, u, v));
   }
 
@@ -152,6 +162,8 @@ class CscBackend : public BackendBase {
 
  private:
   std::optional<CscIndex> index_;
+  // Set by an applied redundancy-mode insert, cleared by a (re)build.
+  bool labels_may_be_redundant_ = false;
 };
 
 // "cached": the memoizing dynamic front; repeat queries between updates
@@ -167,6 +179,7 @@ class CachedBackend : public BackendBase {
     o.reserve_vertices = options.reserve_vertices;
     o.build_threads = options.num_threads;
     cached_.emplace(CscIndex::Build(graph, DegreeOrdering(graph), o));
+    labels_may_be_redundant_ = false;
     build_seconds_ = timer.ElapsedSeconds();
     build_threads_ = options.num_threads;
   }
@@ -181,11 +194,20 @@ class CachedBackend : public BackendBase {
     MaintenanceStrategy strategy = cached_->index().has_inverted_index()
                                        ? MaintenanceStrategy::kMinimality
                                        : MaintenanceStrategy::kRedundancy;
-    return FromBool(cached_->InsertEdge(u, v, strategy));
+    bool applied = cached_->InsertEdge(u, v, strategy);
+    if (applied && strategy == MaintenanceStrategy::kRedundancy) {
+      labels_may_be_redundant_ = true;
+    }
+    return FromBool(applied);
   }
 
   UpdateResult DeleteEdge(Vertex u, Vertex v) override {
     if (!cached_) return UpdateResult::kUnsupported;
+    // RemoveEdge needs a minimal index (dynamic/decremental.h).
+    if (labels_may_be_redundant_) {
+      cached_->Rebuild();
+      labels_may_be_redundant_ = false;
+    }
     return FromBool(cached_->RemoveEdge(u, v));
   }
 
@@ -219,6 +241,8 @@ class CachedBackend : public BackendBase {
 
  private:
   std::optional<CachedCscIndex> cached_;
+  // Set by an applied redundancy-mode insert, cleared by a (re)build.
+  bool labels_may_be_redundant_ = false;
 };
 
 // "compact": the §IV.E reduction — half the labels, the interchange

@@ -40,6 +40,10 @@ class CachedCscIndex {
   /// Returns false if the edge is absent.
   bool RemoveEdge(Vertex a, Vertex b, UpdateStats* stats = nullptr);
 
+  /// Reconstructs the labels under the index's ordering (CscIndex::Rebuild),
+  /// restoring minimality. Answers do not change, so the cache stays valid.
+  void Rebuild() { index_.Rebuild(); }
+
   Vertex num_original_vertices() const {
     return index_.num_original_vertices();
   }

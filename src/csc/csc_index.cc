@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "csc/couple_skip_bfs.h"
 #include "labeling/parallel_build.h"
 #include "labeling/pruned_bfs.h"
 #include "util/timer.h"
@@ -12,10 +13,43 @@ namespace csc {
 
 namespace {
 
+/// The distance-pruning query (Algorithm 3 line 13) at dequeued vertex `w`
+/// of `hub`'s pass: the shortest hub-to-w distance (w-to-hub backward)
+/// through the labels committed so far.
+Dist ViaDist(const HubLabeling& labeling, Vertex hub, bool forward,
+             Vertex w) {
+  return forward ? JoinLabels(labeling.out[hub], labeling.in[w]).dist
+                 : JoinLabels(labeling.out[w], labeling.in[hub]).dist;
+}
+
+/// INSERT_LABEL (Algorithm 4) for one labeled dequeue `e` of the pass of
+/// hub rank `hr`, plus its canonical/non-canonical classification when
+/// distance pruning ran (`classify`).
+void InsertLabel(HubLabeling& labeling, LabelBuildStats& stats, bool classify,
+                 Rank hr, bool forward, CoupleStep step,
+                 const StagedEvent& e) {
+  if (step == CoupleStep::kRoot) {
+    labeling.out[e.w].Append(LabelEntry(hr, 0, 1));
+    ++stats.entries;
+    ++stats.canonical_entries;
+    return;
+  }
+  const uint64_t produced = step == CoupleStep::kPair ? 2 : 1;
+  if (classify) {
+    (e.via_dist == e.dist ? stats.non_canonical_entries
+                          : stats.canonical_entries) += produced;
+  }
+  std::vector<LabelSet>& side = forward ? labeling.in : labeling.out;
+  side[e.w].Append(LabelEntry(hr, e.dist, e.count));
+  if (step == CoupleStep::kPair) {
+    side[CoupleOf(e.w)].Append(LabelEntry(hr, e.dist + 1, e.count));
+  }
+  stats.entries += produced;
+}
+
 /// Algorithm 3: per-hub pruned counting BFS over G_b with couple-vertex
-/// skipping. Only V_in vertices act as hubs; forward passes hop
-/// V_in -> V_in (through the dequeued vertex's couple) and backward passes
-/// hop V_out -> V_out, labeling each reached vertex together with its couple.
+/// skipping (csc/couple_skip_bfs.h). Only V_in vertices act as hubs; each
+/// runs a forward pass (in-labels) and then a backward pass (out-labels).
 class CoupleSkipBuilder {
  public:
   CoupleSkipBuilder(const DiGraph& bipartite, const VertexOrdering& order,
@@ -26,8 +60,7 @@ class CoupleSkipBuilder {
         labeling_(labeling),
         stats_(stats),
         distance_pruning_(distance_pruning),
-        dist_(bipartite.num_vertices(), kInfDist),
-        count_(bipartite.num_vertices(), 0) {}
+        bfs_(bipartite.num_vertices()) {}
 
   void BuildAll() {
     for (Rank r = 0; r < order_.size(); ++r) {
@@ -41,138 +74,28 @@ class CoupleSkipBuilder {
         stats_.canonical_entries += 2;
         continue;
       }
-      ForwardPass(v, r);
-      BackwardPass(v, r);
+      Pass(v, r, /*forward=*/true);
+      Pass(v, r, /*forward=*/false);
     }
   }
 
  private:
-  // In-label generation for hub v_i (rank hr). Dequeued vertices are always
-  // from V_in; the couple w_o trails at distance +1 and is labeled eagerly.
-  void ForwardPass(Vertex hub, Rank hr) {
-    queue_.clear();
-    dist_[hub] = 0;
-    count_[hub] = 1;
-    touched_.push_back(hub);
-    queue_.push_back(hub);
-    size_t head = 0;
-    while (head < queue_.size()) {
-      Vertex w = queue_[head++];
-      ++stats_.vertices_dequeued;
-      if (distance_pruning_) {
-        JoinResult via = JoinLabels(labeling_.out[hub], labeling_.in[w]);
-        if (via.dist < dist_[w]) {
-          ++stats_.pruned_by_distance;
-          continue;
-        }
-        if (via.dist == dist_[w]) {
-          stats_.non_canonical_entries += 2;
-        } else {
-          stats_.canonical_entries += 2;
-        }
-      }
-      // INSERT_LABEL (Algorithm 4): label w and its couple w_o at +1. The
-      // couple's distance/count are exactly w's shifted because w_o's only
-      // in-edge is the couple edge (w_i, w_o).
-      Vertex couple = CoupleOf(w);
-      labeling_.in[w].Append(LabelEntry(hr, dist_[w], count_[w]));
-      labeling_.in[couple].Append(LabelEntry(hr, dist_[w] + 1, count_[w]));
-      stats_.entries += 2;
-      for (Vertex wn : graph_.OutNeighbors(couple)) {  // wn ∈ V_in
-        if (dist_[wn] == kInfDist) {
-          if (hr < order_.vertex_to_rank[wn]) {  // rank pruning: hub ≺ wn
-            dist_[wn] = dist_[w] + 2;
-            count_[wn] = count_[w];
-            touched_.push_back(wn);
-            queue_.push_back(wn);
-          }
-        } else if (dist_[wn] == dist_[w] + 2) {
-          count_[wn] += count_[w];
-        }
-      }
-    }
-    ResetScratch();
-  }
-
-  // Out-label generation for hub v_i (rank hr), running over the reverse
-  // direction of G_b. After the root, dequeued vertices are always from
-  // V_out; the couple w_i trails at distance +1.
-  void BackwardPass(Vertex hub, Rank hr) {
-    queue_.clear();
-    dist_[hub] = 0;
-    count_[hub] = 1;
-    touched_.push_back(hub);
-    queue_.push_back(hub);
-    size_t head = 0;
-    while (head < queue_.size()) {
-      Vertex w = queue_[head++];
-      ++stats_.vertices_dequeued;
-      if (w == hub) {
-        // Modification (3) of §IV.C: the root only records (v, 0, 1) in its
-        // own out-label, then expands its predecessors directly (the couple
-        // v_o is v's successor, not predecessor, so no couple step here).
-        labeling_.out[hub].Append(LabelEntry(hr, 0, 1));
-        ++stats_.entries;
-        ++stats_.canonical_entries;
-        for (Vertex wn : graph_.InNeighbors(hub)) {  // wn ∈ V_out
-          if (hr < order_.vertex_to_rank[wn]) {
-            dist_[wn] = 1;
-            count_[wn] = 1;
-            touched_.push_back(wn);
-            queue_.push_back(wn);
-          }
-        }
-        continue;
-      }
-      bool is_hub_couple = (w == CoupleOf(hub));
-      if (distance_pruning_) {
-        JoinResult via = JoinLabels(labeling_.out[w], labeling_.in[hub]);
-        if (via.dist < dist_[w]) {
-          ++stats_.pruned_by_distance;
-          continue;
-        }
-        uint64_t produced = is_hub_couple ? 1 : 2;
-        if (via.dist == dist_[w]) {
-          stats_.non_canonical_entries += produced;
-        } else {
-          stats_.canonical_entries += produced;
-        }
-      }
-      labeling_.out[w].Append(LabelEntry(hr, dist_[w], count_[w]));
-      ++stats_.entries;
-      if (is_hub_couple) {
-        // Modification (4) of §IV.C: reaching the hub's own couple v_o means
-        // a cycle through v closed. Record it in L_out(v_o) — this is the
-        // entry SCCnt queries hit — but do not propagate to the couple
-        // (that would be the hub itself) and prune the expansion, since any
-        // continuation walks through the hub and is covered by its labels.
-        continue;
-      }
-      Vertex couple = CoupleOf(w);  // w_i
-      labeling_.out[couple].Append(LabelEntry(hr, dist_[w] + 1, count_[w]));
-      ++stats_.entries;
-      for (Vertex wn : graph_.InNeighbors(couple)) {  // wn ∈ V_out
-        if (dist_[wn] == kInfDist) {
-          if (hr < order_.vertex_to_rank[wn]) {
-            dist_[wn] = dist_[w] + 2;
-            count_[wn] = count_[w];
-            touched_.push_back(wn);
-            queue_.push_back(wn);
-          }
-        } else if (dist_[wn] == dist_[w] + 2) {
-          count_[wn] += count_[w];
-        }
-      }
-    }
-    ResetScratch();
-  }
-
-  void ResetScratch() {
-    for (Vertex v : touched_) {
-      dist_[v] = kInfDist;
-      count_[v] = 0;
-    }
-    touched_.clear();
+  void Pass(Vertex hub, Rank hr, bool forward) {
+    bfs_.Run(graph_, order_, hub, forward,
+             [&](Vertex w, Dist d, Count c, CoupleStep step) {
+               ++stats_.vertices_dequeued;
+               Dist via_dist = kInfDist;
+               if (distance_pruning_ && step != CoupleStep::kRoot) {
+                 via_dist = ViaDist(labeling_, hub, forward, w);
+                 if (via_dist < d) {
+                   ++stats_.pruned_by_distance;
+                   return false;
+                 }
+               }
+               InsertLabel(labeling_, stats_, distance_pruning_, hr, forward,
+                           step, {w, d, c, via_dist});
+               return true;
+             });
   }
 
   const DiGraph& graph_;
@@ -180,28 +103,18 @@ class CoupleSkipBuilder {
   HubLabeling& labeling_;
   LabelBuildStats& stats_;
   const bool distance_pruning_;
-  std::vector<Dist> dist_;
-  std::vector<Count> count_;
-  std::vector<Vertex> touched_;
-  std::vector<Vertex> queue_;
+  CoupleSkipBfs bfs_;
 };
 
 /// The rank-batched parallel counterpart of CoupleSkipBuilder (see
 /// labeling/parallel_build.h for the staging/validation/commit scheme).
-/// Staged passes run exactly ForwardPass/BackwardPass against the committed
-/// labels, recording labeled dequeues instead of appending; the commit
-/// replay re-applies INSERT_LABEL (Algorithm 4) and the canonical/
-/// non-canonical classification from the validated via distances, so labels
-/// and stats are bit-identical to the sequential builder at any thread
-/// count.
+/// Staged passes run the same CoupleSkipBfs against the committed labels,
+/// recording labeled dequeues instead of appending; the commit replay
+/// re-applies InsertLabel with the validated via distances, so labels and
+/// stats are bit-identical to the sequential builder at any thread count.
 class ParallelCoupleSkipBuilder {
  public:
-  struct Scratch {
-    std::vector<Dist> dist;
-    std::vector<Count> count;
-    std::vector<Vertex> touched;
-    std::vector<Vertex> queue;
-  };
+  using Scratch = CoupleSkipBfs;
 
   ParallelCoupleSkipBuilder(const DiGraph& bipartite,
                             const VertexOrdering& order, HubLabeling& labeling,
@@ -213,8 +126,7 @@ class ParallelCoupleSkipBuilder {
         distance_pruning_(distance_pruning) {}
 
   void InitScratch(Scratch& s) const {
-    s.dist.assign(graph_.num_vertices(), kInfDist);
-    s.count.assign(graph_.num_vertices(), 0);
+    s = CoupleSkipBfs(graph_.num_vertices());
   }
 
   // Couple-vertex skipping: only V_in vertices root BFSs; a V_out rank
@@ -235,19 +147,30 @@ class ParallelCoupleSkipBuilder {
     StagePass(sh, /*forward=*/false, s);
   }
 
+  // The backward root is never distance-checked (kInfDist via), mirrored by
+  // ValidateStagedHub skipping it.
   void StagePass(StagedHub& sh, bool forward, Scratch& s) const {
-    if (forward) {
-      StageForward(sh, s);
-      sh.fwd.Finalize();
-    } else {
-      StageBackward(sh, s);
-      sh.bwd.Finalize();
-    }
+    StagedPass& pass = forward ? sh.fwd : sh.bwd;
+    s.Run(graph_, order_, sh.hub, forward,
+          [&](Vertex w, Dist d, Count c, CoupleStep step) {
+            ++pass.dequeued;
+            Dist via_dist = kInfDist;
+            if (distance_pruning_ && step != CoupleStep::kRoot) {
+              via_dist = ViaDist(labeling_, sh.hub, forward, w);
+              if (via_dist < d) {
+                ++pass.pruned;
+                return false;
+              }
+            }
+            pass.events.push_back({w, d, c, via_dist});
+            return true;
+          });
+    pass.Finalize();
   }
 
   void Commit(const StagedHub& sh) {
-    CommitForward(sh);
-    CommitBackward(sh);
+    CommitPass(sh, /*forward=*/true);
+    CommitPass(sh, /*forward=*/false);
   }
 
   // A lower batch hub h reaches L_out(hub) only through the couple append
@@ -268,153 +191,14 @@ class ParallelCoupleSkipBuilder {
   }
 
  private:
-  void StageForward(StagedHub& sh, Scratch& s) const {
-    const Vertex hub = sh.hub;
-    const Rank hr = sh.rank;
-    s.queue.clear();
-    s.dist[hub] = 0;
-    s.count[hub] = 1;
-    s.touched.push_back(hub);
-    s.queue.push_back(hub);
-    size_t head = 0;
-    while (head < s.queue.size()) {
-      Vertex w = s.queue[head++];
-      ++sh.fwd.dequeued;
-      Dist via_dist = kInfDist;
-      if (distance_pruning_) {
-        JoinResult via = JoinLabels(labeling_.out[hub], labeling_.in[w]);
-        via_dist = via.dist;
-        if (via.dist < s.dist[w]) {
-          ++sh.fwd.pruned;
-          continue;
-        }
-      }
-      sh.fwd.events.push_back({w, s.dist[w], s.count[w], via_dist});
-      Vertex couple = CoupleOf(w);
-      for (Vertex wn : graph_.OutNeighbors(couple)) {  // wn ∈ V_in
-        if (s.dist[wn] == kInfDist) {
-          if (hr < order_.vertex_to_rank[wn]) {  // rank pruning: hub ≺ wn
-            s.dist[wn] = s.dist[w] + 2;
-            s.count[wn] = s.count[w];
-            s.touched.push_back(wn);
-            s.queue.push_back(wn);
-          }
-        } else if (s.dist[wn] == s.dist[w] + 2) {
-          s.count[wn] += s.count[w];
-        }
-      }
+  void CommitPass(const StagedHub& sh, bool forward) {
+    const StagedPass& pass = forward ? sh.fwd : sh.bwd;
+    for (const StagedEvent& e : pass.events) {
+      InsertLabel(labeling_, stats_, distance_pruning_, sh.rank, forward,
+                  CoupleStepOf(sh.hub, forward, e.w), e);
     }
-    ResetScratch(s);
-  }
-
-  void StageBackward(StagedHub& sh, Scratch& s) const {
-    const Vertex hub = sh.hub;
-    const Rank hr = sh.rank;
-    s.queue.clear();
-    s.dist[hub] = 0;
-    s.count[hub] = 1;
-    s.touched.push_back(hub);
-    s.queue.push_back(hub);
-    size_t head = 0;
-    while (head < s.queue.size()) {
-      Vertex w = s.queue[head++];
-      ++sh.bwd.dequeued;
-      if (w == hub) {
-        // Modification (3) of §IV.C: the root records only its own
-        // out-label and expands predecessors directly — never
-        // distance-checked, mirrored by ValidateStagedHub skipping it.
-        sh.bwd.events.push_back({hub, 0, 1, kInfDist});
-        for (Vertex wn : graph_.InNeighbors(hub)) {  // wn ∈ V_out
-          if (hr < order_.vertex_to_rank[wn]) {
-            s.dist[wn] = 1;
-            s.count[wn] = 1;
-            s.touched.push_back(wn);
-            s.queue.push_back(wn);
-          }
-        }
-        continue;
-      }
-      Dist via_dist = kInfDist;
-      if (distance_pruning_) {
-        JoinResult via = JoinLabels(labeling_.out[w], labeling_.in[hub]);
-        via_dist = via.dist;
-        if (via.dist < s.dist[w]) {
-          ++sh.bwd.pruned;
-          continue;
-        }
-      }
-      sh.bwd.events.push_back({w, s.dist[w], s.count[w], via_dist});
-      if (w == CoupleOf(hub)) continue;  // modification (4): cycle closed
-      Vertex couple = CoupleOf(w);  // w_i
-      for (Vertex wn : graph_.InNeighbors(couple)) {  // wn ∈ V_out
-        if (s.dist[wn] == kInfDist) {
-          if (hr < order_.vertex_to_rank[wn]) {
-            s.dist[wn] = s.dist[w] + 2;
-            s.count[wn] = s.count[w];
-            s.touched.push_back(wn);
-            s.queue.push_back(wn);
-          }
-        } else if (s.dist[wn] == s.dist[w] + 2) {
-          s.count[wn] += s.count[w];
-        }
-      }
-    }
-    ResetScratch(s);
-  }
-
-  void CommitForward(const StagedHub& sh) {
-    for (const StagedEvent& e : sh.fwd.events) {
-      if (distance_pruning_) {
-        if (e.via_dist == e.dist) {
-          stats_.non_canonical_entries += 2;
-        } else {
-          stats_.canonical_entries += 2;
-        }
-      }
-      // INSERT_LABEL (Algorithm 4): label w and its couple w_o at +1.
-      Vertex couple = CoupleOf(e.w);
-      labeling_.in[e.w].Append(LabelEntry(sh.rank, e.dist, e.count));
-      labeling_.in[couple].Append(LabelEntry(sh.rank, e.dist + 1, e.count));
-      stats_.entries += 2;
-    }
-    stats_.vertices_dequeued += sh.fwd.dequeued;
-    stats_.pruned_by_distance += sh.fwd.pruned;
-  }
-
-  void CommitBackward(const StagedHub& sh) {
-    for (const StagedEvent& e : sh.bwd.events) {
-      if (e.w == sh.hub) {
-        labeling_.out[sh.hub].Append(LabelEntry(sh.rank, 0, 1));
-        ++stats_.entries;
-        ++stats_.canonical_entries;
-        continue;
-      }
-      bool is_hub_couple = (e.w == CoupleOf(sh.hub));
-      if (distance_pruning_) {
-        uint64_t produced = is_hub_couple ? 1 : 2;
-        if (e.via_dist == e.dist) {
-          stats_.non_canonical_entries += produced;
-        } else {
-          stats_.canonical_entries += produced;
-        }
-      }
-      labeling_.out[e.w].Append(LabelEntry(sh.rank, e.dist, e.count));
-      ++stats_.entries;
-      if (is_hub_couple) continue;
-      labeling_.out[CoupleOf(e.w)].Append(
-          LabelEntry(sh.rank, e.dist + 1, e.count));
-      ++stats_.entries;
-    }
-    stats_.vertices_dequeued += sh.bwd.dequeued;
-    stats_.pruned_by_distance += sh.bwd.pruned;
-  }
-
-  void ResetScratch(Scratch& s) const {
-    for (Vertex v : s.touched) {
-      s.dist[v] = kInfDist;
-      s.count[v] = 0;
-    }
-    s.touched.clear();
+    stats_.vertices_dequeued += pass.dequeued;
+    stats_.pruned_by_distance += pass.pruned;
   }
 
   const DiGraph& graph_;
@@ -467,26 +251,33 @@ CscIndex CscIndex::Build(const DiGraph& graph, const VertexOrdering& order,
     index.bipartite_ = BipartiteConversion(graph);
     index.order_ = BipartiteOrdering(order);
   }
-  index.labeling_.Resize(index.bipartite_.num_vertices());
+  index.BuildLabels();
+  return index;
+}
+
+void CscIndex::Rebuild() { BuildLabels(); }
+
+void CscIndex::BuildLabels() {
+  labeling_ = HubLabeling();
+  labeling_.Resize(bipartite_.num_vertices());
+  stats_ = LabelBuildStats();
   Timer timer;
-  if (options.build_threads == 0) {
-    CoupleSkipBuilder builder(index.bipartite_, index.order_, index.labeling_,
-                              index.stats_, /*distance_pruning=*/true);
+  if (options_.build_threads == 0) {
+    CoupleSkipBuilder builder(bipartite_, order_, labeling_, stats_,
+                              /*distance_pruning=*/true);
     builder.BuildAll();
   } else {
-    ParallelCoupleSkipBuilder builder(index.bipartite_, index.order_,
-                                      index.labeling_, index.stats_,
+    ParallelCoupleSkipBuilder builder(bipartite_, order_, labeling_, stats_,
                                       /*distance_pruning=*/true);
     ParallelBuildPlan plan;
-    plan.num_threads = options.build_threads;
-    RunRankBatchedBuild(builder, index.order_, plan);
+    plan.num_threads = options_.build_threads;
+    RunRankBatchedBuild(builder, order_, plan);
   }
-  index.stats_.seconds = timer.ElapsedSeconds();
-  index.stats_.build_threads = options.build_threads;
-  if (options.maintain_inverted_index) {
-    PopulateInvertedIndexes(index.labeling_, index.inv_in_, index.inv_out_);
+  stats_.seconds = timer.ElapsedSeconds();
+  stats_.build_threads = options_.build_threads;
+  if (options_.maintain_inverted_index) {
+    PopulateInvertedIndexes(labeling_, inv_in_, inv_out_);
   }
-  return index;
 }
 
 void CscIndex::EnsureInvertedIndexes() {

@@ -19,7 +19,8 @@ namespace csc {
 /// Construction is Algorithm 3 with couple-vertex skipping: only incoming
 /// vertices v_i ever act as BFS roots; a reached vertex and its couple are
 /// labeled together, and the BFS hops couple-to-couple so only one side of
-/// the bipartition is ever enqueued.
+/// the bipartition is ever enqueued (csc/couple_skip_bfs.h, shared with
+/// §V.C recovery).
 ///
 /// The index owns its copy of G_b (dynamic maintenance mutates it) and the
 /// bipartite ordering; the original graph is not retained.
@@ -89,6 +90,12 @@ class CscIndex {
   const InvertedIndex& inv_out() const { return inv_out_; }
   bool has_inverted_index() const { return options_.maintain_inverted_index; }
 
+  /// Reconstructs the labels in place from the index's current G_b under
+  /// its own ordering and options: the result equals a fresh Build of the
+  /// current graph with the ordering this index was built with. Restores
+  /// the minimality RemoveEdge needs after redundancy-mode insertions.
+  void Rebuild();
+
   /// Populates the inverted indexes if absent. Minimality-mode maintenance
   /// calls this lazily; all later label mutations then keep them in sync.
   void EnsureInvertedIndexes();
@@ -105,6 +112,10 @@ class CscIndex {
                                    const struct CscAblationConfig& config);
 
   CscIndex() = default;
+
+  // Runs construction over bipartite_ and order_ into fresh labels (and
+  // inverted indexes, when maintained).
+  void BuildLabels();
 
   DiGraph bipartite_;
   VertexOrdering order_;  // over G_b's 2n vertices

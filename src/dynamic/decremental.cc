@@ -1,9 +1,9 @@
 #include "dynamic/decremental.h"
 
 #include <algorithm>
-
 #include <vector>
 
+#include "csc/couple_skip_bfs.h"
 #include "graph/bipartite.h"
 #include "util/timer.h"
 
@@ -33,68 +33,58 @@ std::vector<Dist> BfsDistances(const DiGraph& graph, Vertex source,
 }
 
 /// Construction-style pruned counting BFS from one affected hub over the
-/// post-deletion graph (step 3). Identical pruning rules to Algorithm 3,
-/// restricted to hubs of strictly higher rank via JoinLabelsBelowRank, with
-/// idempotent InsertOrReplace instead of Append (unaffected entries are
-/// rewritten with their current values).
+/// post-deletion graph (step 3): the builder's couple-skipping traversal
+/// (csc/couple_skip_bfs.h) with two changes. The pruning join is restricted
+/// to hubs of strictly higher rank (JoinLabelsBelowRank: the hub's own
+/// surviving entries must not vote), and labels are upserted instead of
+/// appended, so entries that survived step 2 are rewritten only when their
+/// value changed. A dequeued vertex whose surviving entry for the hub already
+/// has the BFS distance skips the join; if the entry's count matches too,
+/// it skips the writes to w and its couple (decremental.h has the argument).
 class RecoveryPass {
  public:
   explicit RecoveryPass(CscIndex& index, UpdateStats& stats)
       : index_(index),
         stats_(stats),
-        dist_(index.bipartite_graph().num_vertices(), kInfDist),
-        count_(index.bipartite_graph().num_vertices(), 0) {}
+        bfs_(index.bipartite_graph().num_vertices()) {}
 
   void Run(Rank hub_rank, bool forward) {
-    const DiGraph& graph = index_.bipartite_graph();
     const auto& order = index_.bipartite_order();
-    Vertex hub = order.rank_to_vertex[hub_rank];
+    const Vertex hub = order.rank_to_vertex[hub_rank];
     HubLabeling& labeling = index_.mutable_labeling();
-
-    queue_.clear();
-    dist_[hub] = 0;
-    count_[hub] = 1;
-    touched_.push_back(hub);
-    queue_.push_back(hub);
-    size_t head = 0;
-    while (head < queue_.size()) {
-      Vertex w = queue_[head++];
-      ++stats_.vertices_visited;
-      JoinResult via =
-          forward
-              ? JoinLabelsBelowRank(labeling.out[hub], labeling.in[w],
-                                    hub_rank)
-              : JoinLabelsBelowRank(labeling.out[w], labeling.in[hub],
-                                    hub_rank);
-      if (via.dist < dist_[w]) continue;  // hub not highest: prune
-      Upsert(labeling, hub_rank, w, forward);
-      const auto& next =
-          forward ? graph.OutNeighbors(w) : graph.InNeighbors(w);
-      for (Vertex u : next) {
-        if (dist_[u] == kInfDist) {
-          if (hub_rank < order.vertex_to_rank[u]) {
-            dist_[u] = dist_[w] + 1;
-            count_[u] = count_[w];
-            touched_.push_back(u);
-            queue_.push_back(u);
+    std::vector<LabelSet>& side = forward ? labeling.in : labeling.out;
+    bfs_.Run(
+        index_.bipartite_graph(), order, hub, forward,
+        [&](Vertex w, Dist d, Count c, CoupleStep step) {
+          ++stats_.vertices_visited;
+          const LabelEntry entry(hub_rank, d, c);
+          const LabelEntry* existing = side[w].Find(hub_rank);
+          if (existing != nullptr && existing->dist() == d) {
+            // Survivor: in a minimal index d = sd(hub, w) and no path
+            // through higher-ranked hubs is shorter, so the join cannot
+            // prune. An identical entry means its couple's is too.
+            if (*existing == entry) return true;
+          } else if (step != CoupleStep::kRoot) {
+            JoinResult via =
+                forward ? JoinLabelsBelowRank(labeling.out[hub],
+                                              labeling.in[w], hub_rank)
+                        : JoinLabelsBelowRank(labeling.out[w],
+                                              labeling.in[hub], hub_rank);
+            if (via.dist < d) return false;  // hub not highest: prune
           }
-        } else if (dist_[u] == dist_[w] + 1) {
-          count_[u] += count_[w];
-        }
-      }
-    }
-    for (Vertex v : touched_) {
-      dist_[v] = kInfDist;
-      count_[v] = 0;
-    }
-    touched_.clear();
+          Upsert(side[w], existing, entry, w, forward);
+          if (step == CoupleStep::kPair) {
+            const Vertex couple = CoupleOf(w);
+            Upsert(side[couple], side[couple].Find(hub_rank),
+                   LabelEntry(hub_rank, d + 1, c), couple, forward);
+          }
+          return true;
+        });
   }
 
  private:
-  void Upsert(HubLabeling& labeling, Rank hub_rank, Vertex w, bool forward) {
-    LabelSet& labels = forward ? labeling.in[w] : labeling.out[w];
-    LabelEntry entry(hub_rank, dist_[w], count_[w]);
-    const LabelEntry* existing = labels.Find(hub_rank);
+  void Upsert(LabelSet& labels, const LabelEntry* existing, LabelEntry entry,
+              Vertex w, bool forward) {
     if (existing != nullptr) {
       if (*existing != entry) {
         labels.InsertOrReplace(entry);
@@ -108,7 +98,7 @@ class RecoveryPass {
     MarkDirty(w, forward);
     if (index_.has_inverted_index()) {
       (forward ? index_.mutable_inv_in() : index_.mutable_inv_out())
-          .Add(hub_rank, w);
+          .Add(entry.hub(), w);
     }
   }
 
@@ -125,10 +115,7 @@ class RecoveryPass {
 
   CscIndex& index_;
   UpdateStats& stats_;
-  std::vector<Dist> dist_;
-  std::vector<Count> count_;
-  std::vector<Vertex> touched_;
-  std::vector<Vertex> queue_;
+  CoupleSkipBfs bfs_;
 };
 
 }  // namespace

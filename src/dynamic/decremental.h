@@ -18,12 +18,36 @@ namespace csc {
 ///     ("a large number of unaffected label entries are removed and
 ///     recovered later"), and
 ///  3. recover by re-running construction-style pruned counting BFS from
-///     every affected hub in descending rank order.
+///     every affected V_in hub in descending rank order (the work list is
+///     the affected sources, forward, and targets, backward). Each pass is
+///     the builder's couple-skipping traversal (csc/couple_skip_bfs.h): only
+///     one side of each couple pair is dequeued, and the couple is labeled
+///     eagerly at +1. The pruning join counts only strictly higher-ranked
+///     hubs, and labels are upserted. Two rules use the entries that
+///     survived step 2. Say hub h's pass dequeues w at BFS distance d and
+///     L(w) still holds (h, d', c') with d' = d.
+///       - Skip the pruning join. In a minimal index d' = sd(h, w) before
+///         the deletion. The deletion can only lengthen paths, and the
+///         rank-restricted BFS distance is at least the true one, so
+///         sd(h, w) = d afterwards too. Every surviving or recovered entry
+///         is a real path length, so no join over higher-ranked hubs can
+///         beat d, and the join could not have pruned.
+///       - If also c' equals the BFS count (as a saturated 24-bit entry),
+///         skip the writes to w and its couple. w_o's only in-edge (w_i's
+///         only out-edge, backward) is the couple edge, so the couple's
+///         entry is w's shifted by one: step 2 deletes or keeps both, and
+///         its count changed only if w's did.
+///     Counts propagate as the BFS's own 64-bit path multiplicities; none is
+///     read back from a saturating entry. The result is byte-identical to a
+///     fresh build of the post-deletion graph under the same ordering.
 ///
 /// The index must be minimal (freshly built, or maintained with
 /// MaintenanceStrategy::kMinimality): with redundant entries present, stored
-/// distances no longer identify out-of-date labels, which is why the paper's
-/// dynamic workloads delete from a fresh index.
+/// distances no longer identify out-of-date labels (and survivors no longer
+/// carry shortest distances), which is why the paper's dynamic workloads
+/// delete from a fresh index. CscIndex::Rebuild restores minimality; the
+/// dynamic `csc` and `cached` backends call it before a delete that follows
+/// redundancy-mode inserts.
 ///
 /// Returns false (index untouched) if the edge is absent.
 bool RemoveEdge(CscIndex& index, Vertex a, Vertex b,

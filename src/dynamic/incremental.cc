@@ -15,13 +15,34 @@ namespace {
 /// one direction, applying UPDATE_LABEL at every reached vertex.
 class IncrementalPass {
  public:
+  /// BFS scratch, all vertices unreached between passes. Sizing and
+  /// clearing it for every insert costs about as much as a typical small
+  /// insert's repair, so InsertEdge keeps one per thread.
+  struct Scratch {
+    std::vector<Dist> dist;
+    std::vector<Count> count;
+    std::vector<Vertex> touched;
+    std::vector<Vertex> queue;
+
+    /// Grows the scratch to cover `num_vertices`; new slots start unreached.
+    void Fit(size_t num_vertices) {
+      if (dist.size() >= num_vertices) return;
+      dist.resize(num_vertices, kInfDist);
+      count.resize(num_vertices, 0);
+    }
+  };
+
   IncrementalPass(CscIndex& index, MaintenanceStrategy strategy,
-                  UpdateStats& stats)
+                  UpdateStats& stats, Scratch& scratch)
       : index_(index),
         strategy_(strategy),
         stats_(stats),
-        dist_(index.bipartite_graph().num_vertices(), kInfDist),
-        count_(index.bipartite_graph().num_vertices(), 0) {}
+        dist_(scratch.dist),
+        count_(scratch.count),
+        touched_(scratch.touched),
+        queue_(scratch.queue) {
+    scratch.Fit(index.bipartite_graph().num_vertices());
+  }
 
   /// FORWARD_PASS(vk, start, seed_dist, seed_count): repairs in-labels with
   /// hub `vk` downstream of `start`. `forward=false` is BACKWARD_PASS,
@@ -125,10 +146,10 @@ class IncrementalPass {
   CscIndex& index_;
   const MaintenanceStrategy strategy_;
   UpdateStats& stats_;
-  std::vector<Dist> dist_;
-  std::vector<Count> count_;
-  std::vector<Vertex> touched_;
-  std::vector<Vertex> queue_;
+  std::vector<Dist>& dist_;
+  std::vector<Count>& count_;
+  std::vector<Vertex>& touched_;
+  std::vector<Vertex>& queue_;
 };
 
 }  // namespace
@@ -186,7 +207,8 @@ bool InsertEdge(CscIndex& index, Vertex a, Vertex b,
                      return x.forward && !y.forward;
                    });
 
-  IncrementalPass pass(index, strategy, local);
+  thread_local IncrementalPass::Scratch scratch;
+  IncrementalPass pass(index, strategy, local, scratch);
   for (const WorkItem& item : work) {
     ++local.hubs_processed;
     // Forward: new paths hub -> a_o -> b_i -> ...; resume at b_i with

@@ -75,7 +75,9 @@ struct UpdateStats {
   uint64_t entries_updated = 0;
   /// Entries removed (minimality cleaning, or decremental invalidation).
   uint64_t entries_removed = 0;
-  /// Vertices dequeued across all maintenance BFS passes.
+  /// Vertices dequeued across all maintenance BFS passes. Decremental
+  /// recovery labels each dequeued vertex's couple eagerly without
+  /// dequeuing it (couple-vertex skipping), so couples are not counted.
   uint64_t vertices_visited = 0;
   /// Affected hubs processed.
   uint64_t hubs_processed = 0;

@@ -12,6 +12,7 @@
 #include "csc/girth.h"
 #include "graph/digraph.h"
 #include "tests/test_util.h"
+#include "util/random.h"
 
 namespace csc {
 namespace {
@@ -124,6 +125,32 @@ TEST_P(BackendConformanceTest, SharedUpdateScenario) {
         << "edge already absent";
     EXPECT_EQ(backend->InsertEdge(3, 3), CycleIndex::UpdateResult::kRejected)
         << "self-loop";
+  }
+}
+
+// Deletes that follow in-place inserts stay exact. The dynamic CSC backends
+// insert in redundancy mode, which leaves labels that RemoveEdge cannot
+// repair (it needs a minimal index), so they must rebuild before such a
+// delete rather than return wrong counts.
+TEST_P(BackendConformanceTest, DeletesAfterInsertsMatchBfs) {
+  auto backend = Make();
+  if (!backend->supports_updates()) return;  // SharedUpdateScenario covers it
+  const Vertex n = 12;
+  DiGraph graph = RandomGraph(n, 2.0, 181);
+  backend->Build(graph);
+  Rng rng(228);
+  for (int attempt = 0; attempt < 6; ++attempt) {
+    Vertex u = static_cast<Vertex>(rng.NextBounded(n));
+    Vertex v = static_cast<Vertex>(rng.NextBounded(n));
+    if (backend->InsertEdge(u, v) == CycleIndex::UpdateResult::kApplied) {
+      ASSERT_TRUE(graph.AddEdge(u, v));
+    }
+  }
+  for (const Edge& e : graph.Edges()) {
+    ASSERT_EQ(backend->DeleteEdge(e.from, e.to),
+              CycleIndex::UpdateResult::kApplied);
+    ASSERT_TRUE(graph.RemoveEdge(e.from, e.to));
+    ExpectMatchesBfs(*backend, graph, "delete after inserts");
   }
 }
 

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "baseline/bfs_cycle.h"
 #include "dynamic/incremental.h"
 #include "tests/test_util.h"
+#include "workload/datasets.h"
 #include "workload/update_workload.h"
 
 namespace csc {
@@ -66,21 +71,96 @@ TEST(DecrementalTest, RemovalCanLengthenShortestCycle) {
   ExpectMatchesBfs(index, g, "lengthened");
 }
 
-TEST(DecrementalTest, MatchesFreshBuildExactlyAfterEachRemoval) {
-  DiGraph g = RandomGraph(35, 2.2, 71);
-  VertexOrdering order = DegreeOrdering(g);
-  CscIndex index = CscIndex::Build(g, order);
-  std::vector<Edge> removals = SampleExistingEdges(g, 15, 72);
+// Removes `removals` from `g` one at a time. After each, the recovered index
+// must coincide with a fresh build of the shrunken graph under the same
+// ordering and options, entry for entry (recovery replays construction
+// decisions for the affected hubs); maintained inverted indexes must mirror
+// the final labeling exactly; and with `check_bfs`, every answer must match
+// BFS.
+void ExpectRemovalsMatchFreshBuild(DiGraph g, const VertexOrdering& order,
+                                   const CscIndex::Options& options,
+                                   const std::vector<Edge>& removals,
+                                   bool check_bfs, const std::string& input) {
+  CscIndex index = CscIndex::Build(g, order, options);
   for (const Edge& e : removals) {
-    UpdateStats stats;
-    ASSERT_TRUE(RemoveEdge(index, e.from, e.to, &stats));
+    ASSERT_TRUE(RemoveEdge(index, e.from, e.to)) << input;
     ASSERT_TRUE(g.RemoveEdge(e.from, e.to));
-    ExpectMatchesBfs(index, g, "removal");
-    // The recovered index must coincide with a fresh build entry-for-entry
-    // (recovery replays construction decisions for the affected hubs).
-    CscIndex fresh = CscIndex::Build(g, order);
+    if (check_bfs) ExpectMatchesBfs(index, g, input + " removal");
+    CscIndex fresh = CscIndex::Build(g, order, options);
     ASSERT_EQ(index.labeling(), fresh.labeling())
-        << "after removing " << e.from << "->" << e.to;
+        << input << " after removing " << e.from << "->" << e.to;
+    if (options.maintain_inverted_index) {
+      ASSERT_TRUE(
+          index.inv_in().ConsistentWith(index.labeling(), LabelDirection::kIn))
+          << input << " after removing " << e.from << "->" << e.to;
+      ASSERT_TRUE(index.inv_out().ConsistentWith(index.labeling(),
+                                                 LabelDirection::kOut))
+          << input << " after removing " << e.from << "->" << e.to;
+    }
+  }
+}
+
+TEST(DecrementalTest, MatchesFreshBuildExactlyAfterEachRemoval) {
+  const CscIndex::Options plain;
+  DiGraph random = RandomGraph(35, 2.2, 71);
+  ExpectRemovalsMatchFreshBuild(random, DegreeOrdering(random), plain,
+                                SampleExistingEdges(random, 15, 72),
+                                /*check_bfs=*/true, "random");
+
+  // A dataset stand-in with ~1,650 vertices: about 1,000 recovery hubs per
+  // removal, so survivors and re-labelled couples both occur at scale.
+  DiGraph g04 = MaterializeDataset(FindDataset("G04").value(), 0.15);
+  ExpectRemovalsMatchFreshBuild(g04, DegreeOrdering(g04), plain,
+                                SampleExistingEdges(g04, 6, 73),
+                                /*check_bfs=*/false, "G04@0.15");
+
+  CscIndex::Options reserved;
+  reserved.reserve_vertices = 5;
+  ExpectRemovalsMatchFreshBuild(random, DegreeOrdering(random), reserved,
+                                SampleExistingEdges(random, 10, 74),
+                                /*check_bfs=*/true, "reserve_vertices");
+
+  CscIndex::Options inverted;
+  inverted.maintain_inverted_index = true;
+  DiGraph dense = RandomGraph(40, 2.5, 75);
+  ExpectRemovalsMatchFreshBuild(dense, DegreeOrdering(dense), inverted,
+                                SampleExistingEdges(dense, 10, 76),
+                                /*check_bfs=*/true, "inverted");
+
+  // SCCnt(0) = 6^10 saturates the 24-bit stored counts, so recovery compares
+  // survivors against saturated entries. Answers at vertex 0 saturate too,
+  // so there is no BFS check here (the fresh build is the oracle).
+  DiGraph gadget = LayeredGadget(6, 10);
+  ExpectRemovalsMatchFreshBuild(gadget, DegreeOrdering(gadget), plain,
+                                SampleExistingEdges(gadget, 10, 77),
+                                /*check_bfs=*/false, "layered gadget");
+}
+
+TEST(DecrementalTest, DirtyTrackerMarksEveryChangedLabelSet) {
+  // The serving tier patches exactly the label sets marked dirty, so a
+  // removal must mark every L_in / L_out it changed, including when step 3
+  // skips the writes to survivors.
+  DiGraph g = MaterializeDataset(FindDataset("G04").value(), 0.1);
+  CscIndex index = CscIndex::Build(g, DegreeOrdering(g));
+  for (const Edge& e : SampleExistingEdges(g, 8, 78)) {
+    const HubLabeling before = index.labeling();
+    DirtyLabelTracker dirty;
+    UpdateStats stats;
+    stats.dirty = &dirty;
+    ASSERT_TRUE(RemoveEdge(index, e.from, e.to, &stats));
+    const std::set<Vertex> in(dirty.dirty_in().begin(),
+                              dirty.dirty_in().end());
+    const std::set<Vertex> out(dirty.dirty_out().begin(),
+                               dirty.dirty_out().end());
+    const HubLabeling& after = index.labeling();
+    for (Vertex v = 0; v < after.num_vertices(); ++v) {
+      if (before.in[v] != after.in[v]) {
+        EXPECT_TRUE(in.count(v)) << "L_in(" << v << ") changed unmarked";
+      }
+      if (before.out[v] != after.out[v]) {
+        EXPECT_TRUE(out.count(v)) << "L_out(" << v << ") changed unmarked";
+      }
+    }
   }
 }
 

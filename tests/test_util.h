@@ -36,6 +36,29 @@ inline DiGraph RandomGraph(Vertex n, double density, uint64_t seed) {
   return GenerateErdosRenyi(n, m, seed);
 }
 
+/// A layered gadget: vertex 0 -> `depth` fully connected layers of `width`
+/// vertices -> back to 0, so SCCnt(0) = width^depth cycles of length
+/// depth + 1. LayeredGadget(6, 10) has 61 vertices and 6^10 > 2^24 shortest
+/// cycles through vertex 0, past the 24-bit label count field.
+inline DiGraph LayeredGadget(Vertex width, Vertex depth) {
+  std::vector<Edge> edges;
+  auto layer_vertex = [width](Vertex layer, Vertex i) {
+    return 1 + layer * width + i;
+  };
+  for (Vertex i = 0; i < width; ++i) {
+    edges.push_back({0, layer_vertex(0, i)});
+    edges.push_back({layer_vertex(depth - 1, i), 0});
+  }
+  for (Vertex layer = 0; layer + 1 < depth; ++layer) {
+    for (Vertex i = 0; i < width; ++i) {
+      for (Vertex j = 0; j < width; ++j) {
+        edges.push_back({layer_vertex(layer, i), layer_vertex(layer + 1, j)});
+      }
+    }
+  }
+  return DiGraph::FromEdges(1 + width * depth, edges);
+}
+
 }  // namespace csc
 
 #endif  // CSC_TESTS_TEST_UTIL_H_
