@@ -2,11 +2,13 @@
 #define CSC_CSC_COUPLE_SKIP_BFS_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "graph/bipartite.h"
 #include "graph/digraph.h"
 #include "graph/ordering.h"
+#include "labeling/label_set.h"
 #include "util/common.h"
 
 namespace csc {
@@ -53,17 +55,32 @@ inline CoupleStep CoupleStepOf(Vertex hub, bool forward, Vertex w) {
 /// (no labels, no expansion). The return value is ignored for kRoot.
 /// Counts are the BFS's own 64-bit path multiplicities.
 ///
-/// Holds the O(|V(G_b)|) scratch, reset after every pass, so one instance
-/// serves any number of passes over graphs of that size.
+/// The distance-pruning join (Algorithm 3 line 13) is RowJoin. Run loads
+/// the root side of the pass — L_out(hub) forward, L_in(hub) backward, the
+/// entries of hubs ranked above the root — into a dense per-rank RootRow
+/// before the first dequeue, so a pruning test at w scans only w's own
+/// label (L_in(w) forward, L_out(w) backward) with one row lookup per
+/// entry, instead of merging the two label sets. The row stays valid for
+/// the whole pass: every caller writes only the other side's labels, and
+/// only entries of the root's own rank, which the row excludes.
+///
+/// Holds the O(|V(G_b)|) scratch — BFS state and the row — reset after
+/// every pass (the row in O(|root label|)), so one instance serves any
+/// number of passes over graphs of that size.
 class CoupleSkipBfs {
  public:
   explicit CoupleSkipBfs(size_t num_vertices = 0)
-      : dist_(num_vertices, kInfDist), count_(num_vertices, 0) {}
+      : dist_(num_vertices, kInfDist),
+        count_(num_vertices, 0),
+        row_(num_vertices) {}
 
+  /// Runs the pass of `hub` (forward or backward) with `root_labels` as
+  /// its root side; see the class comment.
   template <typename Visit>
   void Run(const DiGraph& graph, const VertexOrdering& order, Vertex hub,
-           bool forward, Visit&& visit) {
+           bool forward, const LabelSet& root_labels, Visit&& visit) {
     const Rank hub_rank = order.vertex_to_rank[hub];
+    row_.Load(root_labels, hub_rank);
     // Enqueues the unvisited, lower-ranked vertices of `next` at `dist`, and
     // adds `count` to those already reached at `dist`.
     auto expand = [&](const std::vector<Vertex>& next, Dist dist,
@@ -106,6 +123,15 @@ class CoupleSkipBfs {
       count_[v] = 0;
     }
     touched_.clear();
+    row_.Unload(root_labels, hub_rank);
+  }
+
+  /// The pruning join of the running pass at a dequeued vertex w whose
+  /// label (the side the pass writes) holds `labels`: the shortest
+  /// root-to-w distance (w-to-root backward) through hubs ranked above the
+  /// root, exact unless it is below `beat` (RootRow::Join).
+  Dist RowJoin(std::span<const LabelEntry> labels, Dist beat) const {
+    return row_.Join(labels, beat);
   }
 
  private:
@@ -113,6 +139,7 @@ class CoupleSkipBfs {
   std::vector<Count> count_;
   std::vector<Vertex> touched_;
   std::vector<Vertex> queue_;
+  RootRow row_;
 };
 
 }  // namespace csc

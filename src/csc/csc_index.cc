@@ -13,15 +13,6 @@ namespace csc {
 
 namespace {
 
-/// The distance-pruning query (Algorithm 3 line 13) at dequeued vertex `w`
-/// of `hub`'s pass: the shortest hub-to-w distance (w-to-hub backward)
-/// through the labels committed so far.
-Dist ViaDist(const HubLabeling& labeling, Vertex hub, bool forward,
-             Vertex w) {
-  return forward ? JoinLabels(labeling.out[hub], labeling.in[w]).dist
-                 : JoinLabels(labeling.out[w], labeling.in[hub]).dist;
-}
-
 /// INSERT_LABEL (Algorithm 4) for one labeled dequeue `e` of the pass of
 /// hub rank `hr`, plus its canonical/non-canonical classification when
 /// distance pruning ran (`classify`).
@@ -81,12 +72,14 @@ class CoupleSkipBuilder {
 
  private:
   void Pass(Vertex hub, Rank hr, bool forward) {
-    bfs_.Run(graph_, order_, hub, forward,
+    const std::vector<LabelSet>& side = forward ? labeling_.in : labeling_.out;
+    const LabelSet& root = forward ? labeling_.out[hub] : labeling_.in[hub];
+    bfs_.Run(graph_, order_, hub, forward, root,
              [&](Vertex w, Dist d, Count c, CoupleStep step) {
                ++stats_.vertices_dequeued;
                Dist via_dist = kInfDist;
                if (distance_pruning_ && step != CoupleStep::kRoot) {
-                 via_dist = ViaDist(labeling_, hub, forward, w);
+                 via_dist = bfs_.RowJoin(side[w].entries(), d);
                  if (via_dist < d) {
                    ++stats_.pruned_by_distance;
                    return false;
@@ -108,7 +101,8 @@ class CoupleSkipBuilder {
 
 /// The rank-batched parallel counterpart of CoupleSkipBuilder (see
 /// labeling/parallel_build.h for the staging/validation/commit scheme).
-/// Staged passes run the same CoupleSkipBfs against the committed labels,
+/// Staged passes run the same CoupleSkipBfs — each worker's Scratch owns
+/// its root row — against the committed labels, which staging only reads,
 /// recording labeled dequeues instead of appending; the commit replay
 /// re-applies InsertLabel with the validated via distances, so labels and
 /// stats are bit-identical to the sequential builder at any thread count.
@@ -151,12 +145,15 @@ class ParallelCoupleSkipBuilder {
   // ValidateStagedHub skipping it.
   void StagePass(StagedHub& sh, bool forward, Scratch& s) const {
     StagedPass& pass = forward ? sh.fwd : sh.bwd;
-    s.Run(graph_, order_, sh.hub, forward,
+    const std::vector<LabelSet>& side = forward ? labeling_.in : labeling_.out;
+    const LabelSet& root =
+        forward ? labeling_.out[sh.hub] : labeling_.in[sh.hub];
+    s.Run(graph_, order_, sh.hub, forward, root,
           [&](Vertex w, Dist d, Count c, CoupleStep step) {
             ++pass.dequeued;
             Dist via_dist = kInfDist;
             if (distance_pruning_ && step != CoupleStep::kRoot) {
-              via_dist = ViaDist(labeling_, sh.hub, forward, w);
+              via_dist = s.RowJoin(side[w].entries(), d);
               if (via_dist < d) {
                 ++pass.pruned;
                 return false;
@@ -262,7 +259,9 @@ void CscIndex::BuildLabels() {
   labeling_.Resize(bipartite_.num_vertices());
   stats_ = LabelBuildStats();
   Timer timer;
-  if (options_.build_threads == 0) {
+  // One staging worker would stage, validate and replay every hub in turn
+  // for the same labels, so it takes the sequential builder too.
+  if (options_.build_threads <= 1) {
     CoupleSkipBuilder builder(bipartite_, order_, labeling_, stats_,
                               /*distance_pruning=*/true);
     builder.BuildAll();

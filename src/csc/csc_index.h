@@ -36,12 +36,14 @@ class CscIndex {
     /// insertions" (§V) — reserving slots up front lets applications attach
     /// brand-new vertices to a live index via InsertEdge alone.
     Vertex reserve_vertices = 0;
-    /// Construction workers. 0 keeps the sequential per-hub Algorithm 3
-    /// builder (the oracle path); >= 1 runs the rank-batched parallel
+    /// Construction workers. 0 and 1 run the sequential per-hub
+    /// Algorithm 3 builder (the oracle path; one staging worker would only
+    /// replay it hub by hub, slower); >= 2 runs the rank-batched parallel
     /// builder (labeling/parallel_build.h): hubs stage pruned BFSs
     /// concurrently per rank batch and a deterministic commit step makes
     /// the labeling — and the build stats — bit-identical to the
-    /// sequential builder at any thread count.
+    /// sequential builder at any thread count. build_stats().build_threads
+    /// reports the value given here.
     unsigned build_threads = 0;
   };
 

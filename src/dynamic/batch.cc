@@ -89,7 +89,10 @@ BatchResult ApplyUpdates(CscIndex& index,
     DiGraph original = RecoverOriginalGraph(index.bipartite_graph());
     for (const Edge& e : to_remove) original.RemoveEdge(e.from, e.to);
     for (const Edge& e : to_insert) original.AddEdge(e.from, e.to);
+    // The recovered graph already holds the reserved vertices; reserving
+    // again would append that many more on every rebuild.
     CscIndex::Options build_options = index.options();
+    build_options.reserve_vertices = 0;
     // A pinned ordering keeps ranks stable across rebuilds (the serving
     // tier's repair pipeline depends on this); otherwise re-optimize for
     // the mutated degree distribution as before.
@@ -136,6 +139,7 @@ BatchResult ApplyUpdates(CscIndex& index,
 void RebuildIndex(CscIndex& index) {
   DiGraph original = RecoverOriginalGraph(index.bipartite_graph());
   CscIndex::Options options = index.options();
+  options.reserve_vertices = 0;  // already in the recovered graph
   index = CscIndex::Build(original, DegreeOrdering(original), options);
 }
 

@@ -34,13 +34,17 @@ std::vector<Dist> BfsDistances(const DiGraph& graph, Vertex source,
 
 /// Construction-style pruned counting BFS from one affected hub over the
 /// post-deletion graph (step 3): the builder's couple-skipping traversal
-/// (csc/couple_skip_bfs.h) with two changes. The pruning join is restricted
-/// to hubs of strictly higher rank (JoinLabelsBelowRank: the hub's own
-/// surviving entries must not vote), and labels are upserted instead of
-/// appended, so entries that survived step 2 are rewritten only when their
-/// value changed. A dequeued vertex whose surviving entry for the hub already
-/// has the BFS distance skips the join; if the entry's count matches too,
-/// it skips the writes to w and its couple (decremental.h has the argument).
+/// (csc/couple_skip_bfs.h) with two changes. The pruning join counts only
+/// hubs of strictly higher rank (the hub's own surviving entries must not
+/// vote), and labels are upserted instead of appended, so entries that
+/// survived step 2 are rewritten only when their value changed. A dequeued
+/// vertex whose surviving entry for the hub already has the BFS distance
+/// skips the join; if the entry's count matches too, it skips the writes to
+/// w and its couple (decremental.h has the argument).
+///
+/// One binary search on L(w) serves both: its position is the survivor
+/// lookup, and the entries before it — exactly the higher-ranked hubs — are
+/// what the root-row join scans.
 class RecoveryPass {
  public:
   explicit RecoveryPass(CscIndex& index, UpdateStats& stats)
@@ -53,24 +57,27 @@ class RecoveryPass {
     const Vertex hub = order.rank_to_vertex[hub_rank];
     HubLabeling& labeling = index_.mutable_labeling();
     std::vector<LabelSet>& side = forward ? labeling.in : labeling.out;
+    const LabelSet& root = forward ? labeling.out[hub] : labeling.in[hub];
     bfs_.Run(
-        index_.bipartite_graph(), order, hub, forward,
+        index_.bipartite_graph(), order, hub, forward, root,
         [&](Vertex w, Dist d, Count c, CoupleStep step) {
           ++stats_.vertices_visited;
           const LabelEntry entry(hub_rank, d, c);
-          const LabelEntry* existing = side[w].Find(hub_rank);
+          const std::vector<LabelEntry>& labels = side[w].entries();
+          const size_t pos = side[w].LowerBound(hub_rank);
+          const LabelEntry* existing =
+              pos < labels.size() && labels[pos].hub() == hub_rank
+                  ? &labels[pos]
+                  : nullptr;
           if (existing != nullptr && existing->dist() == d) {
             // Survivor: in a minimal index d = sd(hub, w) and no path
             // through higher-ranked hubs is shorter, so the join cannot
             // prune. An identical entry means its couple's is too.
             if (*existing == entry) return true;
           } else if (step != CoupleStep::kRoot) {
-            JoinResult via =
-                forward ? JoinLabelsBelowRank(labeling.out[hub],
-                                              labeling.in[w], hub_rank)
-                        : JoinLabelsBelowRank(labeling.out[w],
-                                              labeling.in[hub], hub_rank);
-            if (via.dist < d) return false;  // hub not highest: prune
+            if (bfs_.RowJoin({labels.data(), pos}, d) < d) {
+              return false;  // hub not highest: prune
+            }
           }
           Upsert(side[w], existing, entry, w, forward);
           if (step == CoupleStep::kPair) {

@@ -23,9 +23,15 @@ namespace csc {
 ///     the builder's couple-skipping traversal (csc/couple_skip_bfs.h): only
 ///     one side of each couple pair is dequeued, and the couple is labeled
 ///     eagerly at +1. The pruning join counts only strictly higher-ranked
-///     hubs, and labels are upserted. Two rules use the entries that
-///     survived step 2. Say hub h's pass dequeues w at BFS distance d and
-///     L(w) still holds (h, d', c') with d' = d.
+///     hubs, and labels are upserted. The join is the builder's root-row
+///     join: the pass loads the hub's root-side entries of higher rank
+///     into a dense per-rank row once, and each test scans only L(w)'s
+///     higher-ranked prefix. The row stays valid for the whole pass, since
+///     the pass writes only the other side and only entries of h's rank.
+///     One binary search for h in L(w) yields both that prefix's end and
+///     the surviving entry. Two rules use the entries that survived step
+///     2. Say hub h's pass dequeues w at BFS distance d and L(w) still
+///     holds (h, d', c') with d' = d.
 ///       - Skip the pruning join. In a minimal index d' = sd(h, w) before
 ///         the deletion. The deletion can only lengthen paths, and the
 ///         rank-restricted BFS distance is at least the true one, so

@@ -11,42 +11,35 @@ void LabelSet::Append(LabelEntry entry) {
 }
 
 const LabelEntry* LabelSet::Find(Rank hub_rank) const {
-  return const_cast<LabelSet*>(this)->MutableFind(hub_rank);
+  const size_t i = LowerBound(hub_rank);
+  return i < entries_.size() && entries_[i].hub() == hub_rank ? &entries_[i]
+                                                              : nullptr;
 }
 
-LabelEntry* LabelSet::MutableFind(Rank hub_rank) {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), hub_rank,
-      [](const LabelEntry& e, Rank r) { return e.hub() < r; });
-  if (it == entries_.end() || it->hub() != hub_rank) return nullptr;
-  return &*it;
+size_t LabelSet::LowerBound(Rank hub_rank) const {
+  return std::lower_bound(
+             entries_.begin(), entries_.end(), hub_rank,
+             [](const LabelEntry& e, Rank r) { return e.hub() < r; }) -
+         entries_.begin();
 }
 
 void LabelSet::InsertOrReplace(LabelEntry entry) {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), entry.hub(),
-      [](const LabelEntry& e, Rank r) { return e.hub() < r; });
-  if (it != entries_.end() && it->hub() == entry.hub()) {
-    *it = entry;
+  const size_t i = LowerBound(entry.hub());
+  if (i < entries_.size() && entries_[i].hub() == entry.hub()) {
+    entries_[i] = entry;
   } else {
-    entries_.insert(it, entry);
+    entries_.insert(entries_.begin() + i, entry);
   }
 }
 
 bool LabelSet::Remove(Rank hub_rank) {
-  LabelEntry* e = MutableFind(hub_rank);
+  const LabelEntry* e = Find(hub_rank);
   if (e == nullptr) return false;
   entries_.erase(entries_.begin() + (e - entries_.data()));
   return true;
 }
 
 JoinResult JoinLabels(const LabelSet& out_labels, const LabelSet& in_labels) {
-  return JoinLabelsBelowRank(out_labels, in_labels,
-                             std::numeric_limits<Rank>::max());
-}
-
-JoinResult JoinLabelsBelowRank(const LabelSet& out_labels,
-                               const LabelSet& in_labels, Rank rank_bound) {
   JoinResult result;
   const auto& a = out_labels.entries();
   const auto& b = in_labels.entries();
@@ -54,7 +47,6 @@ JoinResult JoinLabelsBelowRank(const LabelSet& out_labels,
   while (i < a.size() && j < b.size()) {
     Rank ra = a[i].hub();
     Rank rb = b[j].hub();
-    if (ra >= rank_bound || rb >= rank_bound) break;  // sorted: all done
     if (ra < rb) {
       ++i;
     } else if (rb < ra) {

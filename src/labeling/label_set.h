@@ -1,7 +1,9 @@
 #ifndef CSC_LABELING_LABEL_SET_H_
 #define CSC_LABELING_LABEL_SET_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/ordering.h"
@@ -31,6 +33,11 @@ class LabelSet {
   /// Returns the entry with hub rank `hub_rank`, or nullptr.
   const LabelEntry* Find(Rank hub_rank) const;
 
+  /// Position of the first entry whose hub rank is >= `hub_rank` (size()
+  /// if none): the entries before it are exactly those of higher-ranked
+  /// hubs.
+  size_t LowerBound(Rank hub_rank) const;
+
   /// Dynamic-maintenance upsert (Algorithm 7 semantics are implemented by the
   /// caller; this just inserts at the sorted position or overwrites).
   void InsertOrReplace(LabelEntry entry);
@@ -44,8 +51,6 @@ class LabelSet {
   friend bool operator==(const LabelSet&, const LabelSet&) = default;
 
  private:
-  LabelEntry* MutableFind(Rank hub_rank);
-
   std::vector<LabelEntry> entries_;
 };
 
@@ -64,13 +69,54 @@ struct JoinResult {
 /// hubs realizing the minimum.
 JoinResult JoinLabels(const LabelSet& out_labels, const LabelSet& in_labels);
 
-/// As JoinLabels, but only hubs with rank strictly below `rank_bound` are
-/// considered (i.e., hubs processed before `rank_bound`). Construction-time
-/// pruning queries (Algorithm 3 line 13) use this with the current hub's
-/// rank, though entries of lower rank cannot exist yet during construction;
-/// dynamic passes use it to query the index "as of" a hub.
-JoinResult JoinLabelsBelowRank(const LabelSet& out_labels,
-                               const LabelSet& in_labels, Rank rank_bound);
+/// The distance half of JoinLabels for the pruning query of a pruned BFS
+/// (Algorithm 3 line 13), in the pruned-landmark-labeling form: the root's
+/// label is loaded once per pass into a dense per-rank row, and each test
+/// then scans only the visited vertex's label — one lookup per entry, no
+/// merge.
+///
+/// Load a label set with Load, query it any number of times with Join, and
+/// reset it with Unload on the same, unchanged label set (O(|label|) each,
+/// so the O(num_ranks) row is allocated once and reused across passes).
+class RootRow {
+ public:
+  explicit RootRow(size_t num_ranks = 0) : dist_(num_ranks, kInfDist) {}
+
+  /// Loads the distances of `root`'s entries with hub rank < `rank_bound`.
+  void Load(const LabelSet& root, Rank rank_bound) {
+    for (const LabelEntry& e : root.entries()) {
+      if (e.hub() >= rank_bound) break;
+      dist_[e.hub()] = e.dist();
+    }
+  }
+
+  /// Clears what Load(root, rank_bound) set.
+  void Unload(const LabelSet& root, Rank rank_bound) {
+    for (const LabelEntry& e : root.entries()) {
+      if (e.hub() >= rank_bound) break;
+      dist_[e.hub()] = kInfDist;
+    }
+  }
+
+  /// min over `labels`' hubs h held by the row of row[h] + dist, or
+  /// kInfDist if none is (hubs at or past the loaded rank bound are never
+  /// held). Returns as soon as the minimum drops below `beat` (the BFS
+  /// distance a pruning test compares against), so a result >= `beat` is
+  /// the exact minimum; `beat` = 0 always yields it.
+  Dist Join(std::span<const LabelEntry> labels, Dist beat) const {
+    // 64-bit sums: an absent hub's kInfDist plus a distance never wraps
+    // below a real one.
+    uint64_t best = kInfDist;
+    for (const LabelEntry& e : labels) {
+      best = std::min<uint64_t>(best, uint64_t{dist_[e.hub()]} + e.dist());
+      if (best < beat) break;
+    }
+    return static_cast<Dist>(best);
+  }
+
+ private:
+  std::vector<Dist> dist_;
+};
 
 }  // namespace csc
 

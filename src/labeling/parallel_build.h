@@ -74,7 +74,8 @@ namespace csc {
 /// determinism suite over this handoff at 1..8 workers.
 struct ParallelBuildPlan {
   /// Staging workers. Callers treat 0 as "use the sequential builder" and
-  /// never construct a plan with 0; >= 1 runs the batched path.
+  /// never construct a plan with 0 (CscIndex also keeps 1 sequential);
+  /// >= 1 runs the batched path.
   unsigned num_threads = 1;
   /// Hubs per rank batch once the geometric ramp is over. Thread-count
   /// independent so results and stats never depend on worker count.

@@ -229,5 +229,40 @@ TEST(RebuildIndexTest, PreservesAnswersAndRestoresMinimality) {
   EXPECT_EQ(index.labeling(), fresh.labeling());
 }
 
+TEST(RebuildIndexTest, ReservedVerticesDoNotMultiply) {
+  // A 20-vertex cycle with 3 reserved vertices: both rebuild paths recover
+  // G_b with the reserves already in it and must not append more.
+  std::vector<Edge> cycle;
+  for (Vertex v = 0; v < 20; ++v) cycle.push_back({v, (v + 1) % 20});
+  DiGraph target = DiGraph::FromEdges(20, cycle);
+  CscIndex::Options options;
+  options.reserve_vertices = 3;
+  CscIndex index = CscIndex::Build(target, DegreeOrdering(target), options);
+  target.AddVertices(3);
+  ASSERT_EQ(index.num_original_vertices(), 23u);
+
+  RebuildIndex(index);
+  EXPECT_EQ(index.num_original_vertices(), 23u);
+  ExpectMatchesOracle(index, target);
+
+  // Ten new edges, four of them attaching reserved vertices 20-22, on 20
+  // existing ones: past the 0.25 rebuild threshold.
+  const std::vector<Edge> inserts = {{0, 5},  {5, 0},   {3, 12},  {12, 3},
+                                     {20, 0}, {7, 20},  {21, 15}, {15, 21},
+                                     {22, 9}, {18, 22}};
+  std::vector<EdgeUpdate> updates;
+  for (const Edge& e : inserts) {
+    updates.push_back(EdgeUpdate::Insert(e.from, e.to));
+    target.AddEdge(e.from, e.to);
+  }
+  BatchOptions batch_options;
+  batch_options.rebuild_threshold = 0.25;
+  BatchResult result = ApplyUpdates(index, updates, batch_options);
+  EXPECT_TRUE(result.rebuilt);
+  EXPECT_EQ(result.inserted, inserts.size());
+  EXPECT_EQ(index.num_original_vertices(), 23u);
+  ExpectMatchesOracle(index, target);
+}
+
 }  // namespace
 }  // namespace csc

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "baseline/bfs_cycle.h"
 #include "tests/test_util.h"
+#include "workload/datasets.h"
 
 namespace csc {
 namespace {
@@ -134,6 +138,41 @@ TEST(CscIndexTest, EnsureInvertedIndexesIsIdempotent) {
   uint64_t before = index.inv_in().TotalEntries();
   index.EnsureInvertedIndexes();
   EXPECT_EQ(index.inv_in().TotalEntries(), before);
+}
+
+TEST(CscIndexTest, BuildStatsArePinned) {
+  // The canonical/non-canonical split compares each labeled vertex's
+  // pruning-join distance with its BFS distance, so a join that stops short
+  // of the exact minimum moves it even where labels do not change — and the
+  // sequential and rank-batched builders would drift together. The values
+  // are those of the sorted-merge pruning join (JoinLabels).
+  struct Pinned {
+    std::string name;
+    DiGraph graph;
+    uint64_t entries, canonical, non_canonical, dequeued, pruned;
+  };
+  const std::vector<Pinned> cases = {
+      {"random", RandomGraph(300, 4.0, 42), 50115, 34285, 15830, 33502,
+       8568},
+      {"G04@0.1", MaterializeDataset(*FindDataset("G04"), 0.1), 52526, 39800,
+       12726, 30818, 5036},
+  };
+  for (const Pinned& c : cases) {
+    for (unsigned threads : {0u, 2u}) {
+      CscIndex::Options options;
+      options.build_threads = threads;
+      const LabelBuildStats stats =
+          CscIndex::Build(c.graph, DegreeOrdering(c.graph), options)
+              .build_stats();
+      const std::string context =
+          c.name + " threads=" + std::to_string(threads);
+      EXPECT_EQ(stats.entries, c.entries) << context;
+      EXPECT_EQ(stats.canonical_entries, c.canonical) << context;
+      EXPECT_EQ(stats.non_canonical_entries, c.non_canonical) << context;
+      EXPECT_EQ(stats.vertices_dequeued, c.dequeued) << context;
+      EXPECT_EQ(stats.pruned_by_distance, c.pruned) << context;
+    }
+  }
 }
 
 TEST(CscAblationTest, DisablingCoupleSkippingKeepsAnswers) {

@@ -1,8 +1,12 @@
 #include "labeling/label_set.h"
 
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "labeling/hub_labeling.h"
+#include "util/random.h"
 
 namespace csc {
 namespace {
@@ -94,16 +98,88 @@ TEST(JoinLabelsTest, CountsMultiplyPerHubAndSumAcrossHubs) {
   EXPECT_EQ(r.count, 22u);
 }
 
-TEST(JoinLabelsTest, BelowRankExcludesHighRankHubs) {
+// The entries of `labels` with hub rank < `bound`.
+LabelSet Below(const LabelSet& labels, Rank bound) {
+  LabelSet result;
+  for (const LabelEntry& e : labels.entries()) {
+    if (e.hub() < bound) result.Append(e);
+  }
+  return result;
+}
+
+// The row join the pruned BFSs run: `root` loaded below `bound`, the
+// higher-ranked prefix of `visited` scanned, early exit below `beat`.
+Dist RowJoin(RootRow& row, const LabelSet& root, const LabelSet& visited,
+             Rank bound, Dist beat) {
+  row.Load(root, bound);
+  const size_t end = visited.LowerBound(bound);
+  Dist d = row.Join({visited.entries().data(), end}, beat);
+  row.Unload(root, bound);
+  return d;
+}
+
+LabelSet RandomLabels(Rng& rng, Rank num_ranks, double density) {
+  LabelSet labels;
+  for (Rank r = 0; r < num_ranks; ++r) {
+    // Distances 0..3 make tied minima common.
+    if (rng.NextBool(density)) {
+      labels.Append(LabelEntry(r, static_cast<Dist>(rng.NextBounded(4)), 1));
+    }
+  }
+  return labels;
+}
+
+TEST(RootRowTest, JoinMatchesMergeJoinBelowBound) {
+  constexpr Rank kRanks = 48;
+  RootRow row(kRanks);  // reused throughout: a stale entry would show
+
+  // Hubs at or past the bound do not vote.
   LabelSet out, in;
   out.Append(LabelEntry(1, 1, 1));
-  out.Append(LabelEntry(5, 1, 1));
+  out.Append(LabelEntry(5, 0, 1));
   in.Append(LabelEntry(1, 1, 1));
-  in.Append(LabelEntry(5, 1, 1));
-  EXPECT_EQ(JoinLabelsBelowRank(out, in, 6).dist, 2u);
-  EXPECT_EQ(JoinLabelsBelowRank(out, in, 5).dist, 2u);   // hub 5 excluded
-  EXPECT_EQ(JoinLabelsBelowRank(out, in, 5).count, 1u);  // only hub 1
-  EXPECT_EQ(JoinLabelsBelowRank(out, in, 1).dist, kInfDist);
+  in.Append(LabelEntry(5, 0, 1));
+  EXPECT_EQ(RowJoin(row, out, in, 6, 0), 0u);
+  EXPECT_EQ(RowJoin(row, out, in, 5, 0), 2u);  // hub 5 excluded
+  EXPECT_EQ(RowJoin(row, out, in, 1, 0), kInfDist);
+  EXPECT_EQ(RowJoin(row, in, out, 1, 0), kInfDist);
+
+  const double densities[] = {0.0, 0.05, 0.3, 0.9};
+  Rng rng(20260418);
+  for (int trial = 0; trial < 4000; ++trial) {
+    const LabelSet a = RandomLabels(rng, kRanks, densities[rng.NextBounded(4)]);
+    const LabelSet b = RandomLabels(rng, kRanks, densities[rng.NextBounded(4)]);
+    Rank bound = 0;
+    switch (rng.NextBounded(4)) {
+      case 0:
+        bound = 0;
+        break;
+      case 1:  // a hub rank the root holds
+        bound = a.empty() ? 0 : a.entries()[rng.NextBounded(a.size())].hub();
+        break;
+      case 2:
+        bound = std::numeric_limits<Rank>::max();
+        break;
+      default:
+        bound = static_cast<Rank>(rng.NextBounded(kRanks + 1));
+    }
+    const Dist expected = JoinLabels(Below(a, bound), Below(b, bound)).dist;
+    const std::string context = "trial " + std::to_string(trial) +
+                                " bound " + std::to_string(bound);
+    // The exact minimum when nothing can beat 0, with either side as the
+    // root.
+    EXPECT_EQ(RowJoin(row, a, b, bound, 0), expected) << context;
+    EXPECT_EQ(RowJoin(row, b, a, bound, 0), expected) << context;
+    // With a pruning distance: prunes exactly when the merge join would,
+    // and is exact whenever it does not.
+    const Dist beat = static_cast<Dist>(rng.NextBounded(8));
+    const Dist got = RowJoin(row, a, b, bound, beat);
+    EXPECT_EQ(got < beat, expected < beat) << context << " beat " << beat;
+    EXPECT_GE(got, expected) << context;
+    if (expected >= beat) {
+      EXPECT_EQ(got, expected) << context;
+    }
+  }
 }
 
 TEST(HubLabelingTest, TotalEntriesAndQuery) {
