@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baseline/bfs_cycle.h"
@@ -144,28 +145,49 @@ TEST(CscIndexTest, BuildStatsArePinned) {
   // The canonical/non-canonical split compares each labeled vertex's
   // pruning-join distance with its BFS distance, so a join that stops short
   // of the exact minimum moves it even where labels do not change — and the
-  // sequential and rank-batched builders would drift together. The values
-  // are those of the sorted-merge pruning join (JoinLabels).
+  // sequential and rank-batched builders would drift together. The two
+  // ablation variants pin the builder's other modes: plain passes over G_b
+  // (no couple skipping) and passes stopped by rank pruning alone.
+  const std::vector<std::pair<std::string, DiGraph>> graphs = {
+      {"random", RandomGraph(300, 4.0, 42)},
+      {"G04@0.1", MaterializeDataset(*FindDataset("G04"), 0.1)},
+  };
+  enum Variant { kStandard, kNoCoupleSkipping, kNoDistancePruning };
   struct Pinned {
-    std::string name;
-    DiGraph graph;
+    size_t graph;
+    Variant variant;
     uint64_t entries, canonical, non_canonical, dequeued, pruned;
   };
   const std::vector<Pinned> cases = {
-      {"random", RandomGraph(300, 4.0, 42), 50115, 34285, 15830, 33502,
-       8568},
-      {"G04@0.1", MaterializeDataset(*FindDataset("G04"), 0.1), 52526, 39800,
-       12726, 30818, 5036},
+      {0, kStandard, 50115, 34285, 15830, 33502, 8568},
+      {1, kStandard, 52526, 39800, 12726, 30818, 5036},
+      {0, kNoCoupleSkipping, 75225, 51301, 23924, 88099, 12874},
+      {1, kNoCoupleSkipping, 74902, 56244, 18658, 82442, 7540},
+      {0, kNoDistancePruning, 102307, 900, 0, 51062, 0},
+      {1, kNoDistancePruning, 140031, 3300, 0, 69539, 0},
   };
   for (const Pinned& c : cases) {
-    for (unsigned threads : {0u, 2u}) {
-      CscIndex::Options options;
-      options.build_threads = threads;
-      const LabelBuildStats stats =
-          CscIndex::Build(c.graph, DegreeOrdering(c.graph), options)
-              .build_stats();
-      const std::string context =
-          c.name + " threads=" + std::to_string(threads);
+    const auto& [name, graph] = graphs[c.graph];
+    const VertexOrdering order = DegreeOrdering(graph);
+    // The ablation builds are sequential only.
+    const std::vector<unsigned> thread_counts =
+        c.variant == kStandard ? std::vector<unsigned>{0, 2}
+                               : std::vector<unsigned>{0};
+    for (unsigned threads : thread_counts) {
+      LabelBuildStats stats;
+      if (c.variant == kStandard) {
+        CscIndex::Options options;
+        options.build_threads = threads;
+        stats = CscIndex::Build(graph, order, options).build_stats();
+      } else {
+        CscAblationConfig config;
+        config.disable_couple_skipping = c.variant == kNoCoupleSkipping;
+        config.disable_distance_pruning = c.variant == kNoDistancePruning;
+        stats = BuildCscAblation(graph, order, config).build_stats();
+      }
+      const std::string context = name + " variant=" +
+                                  std::to_string(c.variant) +
+                                  " threads=" + std::to_string(threads);
       EXPECT_EQ(stats.entries, c.entries) << context;
       EXPECT_EQ(stats.canonical_entries, c.canonical) << context;
       EXPECT_EQ(stats.non_canonical_entries, c.non_canonical) << context;

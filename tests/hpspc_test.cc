@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "tests/test_util.h"
+#include "workload/datasets.h"
 
 namespace csc {
 namespace {
@@ -156,6 +158,36 @@ TEST(HpSpcTest, CycleCountsMatchBfsOnRandomGraphs) {
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
       EXPECT_EQ(index.CountCycles(v), counter.CountCycles(v))
           << "seed " << seed << " vertex " << v;
+    }
+  }
+}
+
+TEST(HpSpcTest, BuildStatsArePinned) {
+  // As CscIndexTest.BuildStatsArePinned, for the plain builder over G: the
+  // canonical/non-canonical split moves with any change to the pruning
+  // join, even where labels do not, at every thread count.
+  struct Pinned {
+    std::string name;
+    DiGraph graph;
+    uint64_t entries, canonical, non_canonical, dequeued, pruned;
+  };
+  const std::vector<Pinned> cases = {
+      {"random", RandomGraph(300, 4.0, 42), 24881, 16974, 7907, 33433, 8552},
+      {"G04@0.1", MaterializeDataset(*FindDataset("G04"), 0.1), 25644, 19298,
+       6346, 30680, 5036},
+  };
+  for (const Pinned& c : cases) {
+    for (unsigned threads : {0u, 2u}) {
+      const LabelBuildStats stats =
+          HpSpcIndex::Build(c.graph, DegreeOrdering(c.graph), threads)
+              .build_stats();
+      const std::string context =
+          c.name + " threads=" + std::to_string(threads);
+      EXPECT_EQ(stats.entries, c.entries) << context;
+      EXPECT_EQ(stats.canonical_entries, c.canonical) << context;
+      EXPECT_EQ(stats.non_canonical_entries, c.non_canonical) << context;
+      EXPECT_EQ(stats.vertices_dequeued, c.dequeued) << context;
+      EXPECT_EQ(stats.pruned_by_distance, c.pruned) << context;
     }
   }
 }
