@@ -63,8 +63,8 @@ class CycleIndex {
     /// Extra isolated vertices appended before indexing so brand-new
     /// vertices can be attached to a live index via InsertEdge alone.
     Vertex reserve_vertices = 0;
-    /// Construction workers for labeling-based backends. 0 keeps the
-    /// sequential per-hub builder; >= 1 runs the rank-batched parallel
+    /// Construction workers for labeling-based backends. 0 and 1 run the
+    /// sequential per-hub builder; >= 2 the rank-batched parallel
     /// builder, whose output — serialized payloads included — is
     /// bit-identical to the sequential build at any thread count.
     /// Backends without a labeling construction ("bfs", "precompute")

@@ -19,8 +19,8 @@ namespace csc {
 /// Construction is Algorithm 3 with couple-vertex skipping: only incoming
 /// vertices v_i ever act as BFS roots; a reached vertex and its couple are
 /// labeled together, and the BFS hops couple-to-couple so only one side of
-/// the bipartition is ever enqueued (csc/couple_skip_bfs.h, shared with
-/// §V.C recovery).
+/// the bipartition is ever enqueued (labeling/pruned_bfs.h, shared with
+/// HP-SPC and §V.C recovery).
 ///
 /// The index owns its copy of G_b (dynamic maintenance mutates it) and the
 /// bipartite ordering; the original graph is not retained.
@@ -36,14 +36,12 @@ class CscIndex {
     /// insertions" (§V) — reserving slots up front lets applications attach
     /// brand-new vertices to a live index via InsertEdge alone.
     Vertex reserve_vertices = 0;
-    /// Construction workers. 0 and 1 run the sequential per-hub
-    /// Algorithm 3 builder (the oracle path; one staging worker would only
-    /// replay it hub by hub, slower); >= 2 runs the rank-batched parallel
-    /// builder (labeling/parallel_build.h): hubs stage pruned BFSs
-    /// concurrently per rank batch and a deterministic commit step makes
-    /// the labeling — and the build stats — bit-identical to the
-    /// sequential builder at any thread count. build_stats().build_threads
-    /// reports the value given here.
+    /// Construction workers, as PrunedBfsOptions::num_threads: 0 and 1 run
+    /// the sequential per-hub Algorithm 3 builder, >= 2 the rank-batched
+    /// parallel builder (labeling/parallel_build.h), whose labeling — and
+    /// build stats — are bit-identical to the sequential builder's at any
+    /// thread count. build_stats().build_threads reports the value given
+    /// here.
     unsigned build_threads = 0;
   };
 

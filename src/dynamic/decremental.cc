@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <vector>
 
-#include "csc/couple_skip_bfs.h"
 #include "graph/bipartite.h"
+#include "labeling/pruned_bfs.h"
 #include "util/timer.h"
 
 namespace csc {
@@ -34,7 +34,7 @@ std::vector<Dist> BfsDistances(const DiGraph& graph, Vertex source,
 
 /// Construction-style pruned counting BFS from one affected hub over the
 /// post-deletion graph (step 3): the builder's couple-skipping traversal
-/// (csc/couple_skip_bfs.h) with two changes. The pruning join counts only
+/// (labeling/pruned_bfs.h) with two changes. The pruning join counts only
 /// hubs of strictly higher rank (the hub's own surviving entries must not
 /// vote), and labels are upserted instead of appended, so entries that
 /// survived step 2 are rewritten only when their value changed. A dequeued
@@ -60,7 +60,7 @@ class RecoveryPass {
     const LabelSet& root = forward ? labeling.out[hub] : labeling.in[hub];
     bfs_.Run(
         index_.bipartite_graph(), order, hub, forward, root,
-        [&](Vertex w, Dist d, Count c, CoupleStep step) {
+        [&](Vertex w, Dist d, Count c, BfsStep step) {
           ++stats_.vertices_visited;
           const LabelEntry entry(hub_rank, d, c);
           const std::vector<LabelEntry>& labels = side[w].entries();
@@ -74,13 +74,13 @@ class RecoveryPass {
             // through higher-ranked hubs is shorter, so the join cannot
             // prune. An identical entry means its couple's is too.
             if (*existing == entry) return true;
-          } else if (step != CoupleStep::kRoot) {
+          } else if (step != BfsStep::kRoot) {
             if (bfs_.RowJoin({labels.data(), pos}, d) < d) {
               return false;  // hub not highest: prune
             }
           }
           Upsert(side[w], existing, entry, w, forward);
-          if (step == CoupleStep::kPair) {
+          if (step == BfsStep::kPair) {
             const Vertex couple = CoupleOf(w);
             Upsert(side[couple], side[couple].Find(hub_rank),
                    LabelEntry(hub_rank, d + 1, c), couple, forward);
@@ -122,7 +122,7 @@ class RecoveryPass {
 
   CscIndex& index_;
   UpdateStats& stats_;
-  CoupleSkipBfs bfs_;
+  PrunedCountingBfs<BfsMode::kCoupleSkipping> bfs_;
 };
 
 }  // namespace

@@ -20,7 +20,7 @@ namespace csc {
 ///  3. recover by re-running construction-style pruned counting BFS from
 ///     every affected V_in hub in descending rank order (the work list is
 ///     the affected sources, forward, and targets, backward). Each pass is
-///     the builder's couple-skipping traversal (csc/couple_skip_bfs.h): only
+///     the builder's couple-skipping traversal (labeling/pruned_bfs.h): only
 ///     one side of each couple pair is dequeued, and the couple is labeled
 ///     eagerly at +1. The pruning join counts only strictly higher-ranked
 ///     hubs, and labels are upserted. The join is the builder's root-row

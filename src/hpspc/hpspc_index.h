@@ -23,9 +23,11 @@ class HpSpcIndex {
  public:
   /// Builds the index with interleaved per-hub forward/backward pruned
   /// counting BFS, processing hubs from rank 0 downward. `num_threads`
-  /// selects the construction path: 0 is the sequential builder, >= 1 the
-  /// rank-batched parallel builder (bit-identical output either way; see
-  /// labeling/parallel_build.h).
+  /// selects the construction path as PrunedBfsOptions::num_threads does:
+  /// 0 and 1 run the sequential builder, >= 2 the rank-batched parallel
+  /// builder (bit-identical output either way; see
+  /// labeling/parallel_build.h). build_stats().build_threads reports the
+  /// value given here.
   static HpSpcIndex Build(const DiGraph& graph, const VertexOrdering& order,
                           unsigned num_threads = 0);
 

@@ -20,10 +20,11 @@ struct LabelBuildStats {
   uint64_t vertices_dequeued = 0;
   /// Dequeued vertices discarded by the distance-pruning query.
   uint64_t pruned_by_distance = 0;
-  /// Construction workers this labeling was built with (0 = the sequential
-  /// builder). The counters above are aggregated from per-pass staging
-  /// partials at commit time under the parallel builder, so they are exact
-  /// — and equal to a sequential build's — at any thread count.
+  /// Construction workers requested for this labeling (0 and 1 both run
+  /// the sequential builder, >= 2 the rank-batched one). The counters
+  /// above are aggregated from per-pass staging partials at commit time
+  /// under the parallel builder, so they are exact — and equal to a
+  /// sequential build's — at any thread count.
   unsigned build_threads = 0;
 };
 

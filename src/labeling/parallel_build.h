@@ -3,11 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -19,9 +15,10 @@ namespace csc {
 
 /// Rank-batched parallel hub-labeling construction.
 ///
-/// The sequential builders (Algorithm 3 and the plain HP-SPC pass) process
-/// hubs strictly in rank order because every pruned BFS consults the labels
-/// of all higher-ranked hubs. This framework recovers parallelism without
+/// The sequential label builder (labeling/pruned_bfs.cc, in both its plain
+/// HP-SPC and its couple-skipping Algorithm 3 mode) processes hubs strictly
+/// in rank order because every pruned BFS consults the labels of all
+/// higher-ranked hubs. This framework recovers parallelism without
 /// giving up that order — or bit-identical output:
 ///
 ///   1. **Stage.** Hubs are taken in rank-ordered batches. Within a batch,
@@ -53,8 +50,8 @@ namespace csc {
 ///      bit-identical at any thread count, and so are the build stats
 ///      (canonical/non-canonical classification re-derives from via_seq).
 ///
-/// Batch sizes adapt to the dirty rate, from 1 up to
-/// `ParallelBuildPlan::batch_size`: a batch that re-ran any pass drops the
+/// Batch sizes adapt to the dirty rate, from 1 up to `kMaxRankBatch`: a
+/// batch that re-ran any pass drops the
 /// next batch back to a singleton, a fully clean batch doubles toward the
 /// cap. The top-ranked hubs prune each other heavily (a dirty hub there
 /// stages a near-unpruned BFS only to re-run it), so batches stay small
@@ -71,16 +68,11 @@ namespace csc {
 /// stage. The sole synchronization point is `ThreadPool::Wait()` (itself
 /// annotated, util/thread_pool.h), whose barrier orders every staged write
 /// before the serial commit loop reads them. The TSan CI job runs the
-/// determinism suite over this handoff at 1..8 workers.
-struct ParallelBuildPlan {
-  /// Staging workers. Callers treat 0 as "use the sequential builder" and
-  /// never construct a plan with 0 (CscIndex also keeps 1 sequential);
-  /// >= 1 runs the batched path.
-  unsigned num_threads = 1;
-  /// Hubs per rank batch once the geometric ramp is over. Thread-count
-  /// independent so results and stats never depend on worker count.
-  size_t batch_size = 64;
-};
+/// determinism suite over this handoff at 2..8 workers.
+
+/// Hubs per rank batch once the geometric ramp is over. Thread-count
+/// independent so results and stats never depend on worker count.
+inline constexpr size_t kMaxRankBatch = 64;
 
 /// One labeled dequeue of a staged pruned BFS pass: vertex, BFS distance,
 /// path multiplicity, and the distance-pruning join observed at stage time
@@ -161,7 +153,7 @@ struct PassValidation {
 /// discarded with the re-stage.
 ///
 /// `builder` supplies the two label-placement rules that differ between the
-/// plain and couple-skip constructions:
+/// plain and couple-skipping modes:
 ///   NewOutDist(lower, hub): distance of the entry `lower`'s backward pass
 ///     contributed to L_out(hub), or kInfDist;
 ///   NewInDist(lower, hub): ditto for `lower`'s forward pass and L_in(hub).
@@ -231,40 +223,24 @@ PassValidation ValidateStagedHub(const Builder& builder,
 ///
 /// Stage() must read only labels already committed (it runs concurrently
 /// with other Stage() calls and with no writer); Commit/CommitNonHub run on
-/// the calling thread only, in strict rank order.
+/// the calling thread only, in strict rank order. Callers pass
+/// `num_threads` >= 2: one worker would stage, validate and replay every
+/// hub in turn for the sequential builder's labels, only slower.
 template <typename Builder>
 void RunRankBatchedBuild(Builder& builder, const VertexOrdering& order,
-                         const ParallelBuildPlan& plan) {
+                         unsigned num_threads) {
   const size_t num_ranks = order.size();
-  const size_t max_batch = std::max<size_t>(1, plan.batch_size);
-  // A worker beyond the batch cap can never be busy (at most max_batch
+  // A worker beyond the batch cap can never be busy (at most kMaxRankBatch
   // hubs stage per batch), and each worker costs an OS thread plus a
   // full-size BFS scratch — so clamp rather than trust the caller's flag.
-  const unsigned num_threads = static_cast<unsigned>(
-      std::min<size_t>(std::max(1u, plan.num_threads), max_batch));
-  // One worker thread can only ever stage on the calling thread, so don't
-  // spawn a pool that would sit idle for the whole build.
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
+  num_threads = static_cast<unsigned>(
+      std::min<size_t>(std::max(1u, num_threads), kMaxRankBatch));
+  ThreadPool pool(num_threads);
   std::vector<typename Builder::Scratch> scratch(num_threads);
   for (auto& s : scratch) builder.InitScratch(s);
-  std::vector<StagedHub> staged(max_batch);
+  std::vector<StagedHub> staged(kMaxRankBatch);
 
   size_t batch_size = 1;  // adapted per batch; see the file comment
-  size_t debug_dirty = 0, debug_hubs = 0, debug_staged_deq = 0,
-         debug_rerun_deq = 0;
-  double debug_stage_s = 0, debug_validate_s = 0, debug_rerun_s = 0,
-         debug_replay_s = 0;
-  const bool debug = std::getenv("CSC_PARALLEL_DEBUG") != nullptr;
-  // Clock reads sit inside the serial commit loop; only pay for them when
-  // the phase report was asked for.
-  auto now = [debug] {
-    return debug ? std::chrono::steady_clock::now()
-                 : std::chrono::steady_clock::time_point{};
-  };
-  auto secs = [](auto a, auto b) {
-    return std::chrono::duration<double>(b - a).count();
-  };
   for (size_t begin = 0; begin < num_ranks;) {
     const size_t end = std::min(begin + batch_size, num_ranks);
     // Collect this batch's BFS hubs.
@@ -276,11 +252,10 @@ void RunRankBatchedBuild(Builder& builder, const VertexOrdering& order,
       }
     }
     // Stage in parallel against the committed labels.
-    auto stage_start = now();
-    if (num_hubs > 1 && pool) {
+    if (num_hubs > 1) {
       std::atomic<size_t> next{0};
       for (unsigned t = 0; t < num_threads; ++t) {
-        pool->Submit([&builder, &staged, &scratch, &next, num_hubs, t] {
+        pool.Submit([&builder, &staged, &scratch, &next, num_hubs, t] {
           for (;;) {
             size_t i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= num_hubs) return;
@@ -288,13 +263,10 @@ void RunRankBatchedBuild(Builder& builder, const VertexOrdering& order,
           }
         });
       }
-      pool->Wait();
-    } else {
-      for (size_t i = 0; i < num_hubs; ++i) {
-        builder.Stage(staged[i], scratch[0]);
-      }
+      pool.Wait();
+    } else if (num_hubs == 1) {
+      builder.Stage(staged[0], scratch[0]);
     }
-    debug_stage_s += secs(stage_start, now());
     // Commit serially in rank order.
     size_t idx = 0;
     size_t dirty_in_batch = 0;
@@ -305,16 +277,11 @@ void RunRankBatchedBuild(Builder& builder, const VertexOrdering& order,
         continue;
       }
       StagedHub& sh = staged[idx];
-      ++debug_hubs;
-      debug_staged_deq += sh.fwd.dequeued + sh.bwd.dequeued;
-      auto validate_start = now();
       PassValidation validation;
       if (builder.distance_pruning()) {
         validation = ValidateStagedHub(builder, staged, idx);
       }
-      debug_validate_s += secs(validate_start, now());
       if (!validation.fwd_clean || !validation.bwd_clean) {
-        ++debug_dirty;
         ++dirty_in_batch;
         // Dirty: a same-batch higher hub would have pruned this BFS
         // somewhere. Re-staging the dirty pass against the now-current
@@ -324,22 +291,16 @@ void RunRankBatchedBuild(Builder& builder, const VertexOrdering& order,
         // and keeps the corrected events visible to later hubs'
         // validations. The clean pass's staging is already sequential and
         // is kept as-is.
-        auto rerun_start = now();
         if (!validation.fwd_clean) {
           sh.fwd.Clear();
           builder.StagePass(sh, /*forward=*/true, scratch[0]);
-          debug_rerun_deq += sh.fwd.dequeued;
         }
         if (!validation.bwd_clean) {
           sh.bwd.Clear();
           builder.StagePass(sh, /*forward=*/false, scratch[0]);
-          debug_rerun_deq += sh.bwd.dequeued;
         }
-        debug_rerun_s += secs(rerun_start, now());
       }
-      auto replay_start = now();
       builder.Commit(sh);
-      debug_replay_s += secs(replay_start, now());
       ++idx;
     }
     begin = end;
@@ -349,16 +310,7 @@ void RunRankBatchedBuild(Builder& builder, const VertexOrdering& order,
     // drop straight back to singleton batches on any re-run and double
     // toward the cap while batches come back clean.
     batch_size =
-        dirty_in_batch > 0 ? 1 : std::min(batch_size * 2, max_batch);
-  }
-  if (debug) {
-    std::fprintf(stderr,
-                 "[parallel_build] hubs=%zu dirty=%zu staged_deq=%zu "
-                 "rerun_deq=%zu stage=%.3fs validate=%.3fs rerun=%.3fs "
-                 "replay=%.3fs\n",
-                 debug_hubs, debug_dirty, debug_staged_deq, debug_rerun_deq,
-                 debug_stage_s, debug_validate_s, debug_rerun_s,
-                 debug_replay_s);
+        dirty_in_batch > 0 ? 1 : std::min(batch_size * 2, kMaxRankBatch);
   }
 }
 

@@ -8,123 +8,63 @@ namespace csc {
 
 namespace {
 
-class PlainBuilder {
+/// The label builder of both modes: per hub in rank order, a forward pass
+/// (in-labels) and then a backward pass (out-labels) of PrunedCountingBfs.
+/// BuildAll runs them sequentially, appending as it goes; the rest is the
+/// Builder concept of RunRankBatchedBuild (labeling/parallel_build.h),
+/// whose staged passes run the same traversal against the committed labels
+/// — each worker's Scratch owns its root row — and record labeled dequeues
+/// instead of appending. Both paths go through one prune test (RunPass) and
+/// one InsertLabel, so labels and stats are bit-identical at any thread
+/// count.
+template <BfsMode kMode>
+class LabelBuilder {
  public:
-  PlainBuilder(const DiGraph& graph, const VertexOrdering& order,
+  using Scratch = PrunedCountingBfs<kMode>;
+
+  LabelBuilder(const DiGraph& graph, const VertexOrdering& order,
                HubLabeling& labeling, LabelBuildStats& stats,
-               const PrunedBfsOptions& options)
+               bool distance_pruning)
       : graph_(graph),
         order_(order),
         labeling_(labeling),
         stats_(stats),
-        options_(options),
-        dist_(graph.num_vertices(), kInfDist),
-        count_(graph.num_vertices(), 0) {}
+        distance_pruning_(distance_pruning) {}
 
   void BuildAll() {
+    Scratch bfs(graph_.num_vertices());
     for (Rank r = 0; r < order_.size(); ++r) {
-      Vertex hub = order_.rank_to_vertex[r];
-      RunPass(hub, r, /*forward=*/true);
-      RunPass(hub, r, /*forward=*/false);
-    }
-  }
-
- private:
-  // Pruned counting BFS from `hub` (rank `hub_rank`). Forward passes create
-  // in-labels of reached vertices; backward passes create out-labels.
-  void RunPass(Vertex hub, Rank hub_rank, bool forward) {
-    queue_.clear();
-    dist_[hub] = 0;
-    count_[hub] = 1;
-    touched_.push_back(hub);
-    queue_.push_back(hub);
-    size_t head = 0;
-    while (head < queue_.size()) {
-      Vertex w = queue_[head++];
-      ++stats_.vertices_dequeued;
-      if (options_.distance_pruning) {
-        // Distance-pruning query (Algorithm 3 line 13): the distance hub->w
-        // (w->hub when backward) through hubs of strictly higher rank.
-        JoinResult via = forward
-                             ? JoinLabels(labeling_.out[hub], labeling_.in[w])
-                             : JoinLabels(labeling_.out[w], labeling_.in[hub]);
-        if (via.dist < dist_[w]) {
-          ++stats_.pruned_by_distance;
-          continue;  // hub is not highest on any shortest path; stop here.
-        }
-        if (via.dist == dist_[w]) {
-          ++stats_.non_canonical_entries;
-        } else {
-          ++stats_.canonical_entries;
-        }
+      const Vertex v = order_.rank_to_vertex[r];
+      if (!IsHub(v)) {
+        CommitNonHub(r, v);
+        continue;
       }
-      LabelSet& target = forward ? labeling_.in[w] : labeling_.out[w];
-      target.Append(LabelEntry(hub_rank, dist_[w], count_[w]));
-      ++stats_.entries;
-      const auto& next =
-          forward ? graph_.OutNeighbors(w) : graph_.InNeighbors(w);
-      for (Vertex wn : next) {
-        if (dist_[wn] == kInfDist) {
-          if (hub_rank < order_.vertex_to_rank[wn]) {  // rank pruning: hub ≺ wn
-            dist_[wn] = dist_[w] + 1;
-            count_[wn] = count_[w];
-            touched_.push_back(wn);
-            queue_.push_back(wn);
-          }
-        } else if (dist_[wn] == dist_[w] + 1) {
-          count_[wn] += count_[w];
-        }
+      for (bool forward : {true, false}) {
+        RunPass(v, forward, bfs, stats_.vertices_dequeued,
+                stats_.pruned_by_distance,
+                [&](const StagedEvent& e, BfsStep step) {
+                  InsertLabel(r, forward, step, e);
+                });
       }
     }
-    for (Vertex v : touched_) {
-      dist_[v] = kInfDist;
-      count_[v] = 0;
-    }
-    touched_.clear();
   }
 
-  const DiGraph& graph_;
-  const VertexOrdering& order_;
-  HubLabeling& labeling_;
-  LabelBuildStats& stats_;
-  const PrunedBfsOptions options_;
-  std::vector<Dist> dist_;
-  std::vector<Count> count_;
-  std::vector<Vertex> touched_;
-  std::vector<Vertex> queue_;
-};
+  void InitScratch(Scratch& s) const { s = Scratch(graph_.num_vertices()); }
 
-// The rank-batched parallel counterpart of PlainBuilder: staged passes run
-// the same pruned counting BFS against the committed labels, recording
-// labeled dequeues instead of appending, and the commit replay mirrors
-// RunPass's append/stats logic event by event. See labeling/parallel_build.h
-// for why the result (labels and stats) is bit-identical to PlainBuilder.
-class ParallelPlainBuilder {
- public:
-  struct Scratch {
-    std::vector<Dist> dist;
-    std::vector<Count> count;
-    std::vector<Vertex> touched;
-    std::vector<Vertex> queue;
-  };
-
-  ParallelPlainBuilder(const DiGraph& graph, const VertexOrdering& order,
-                       HubLabeling& labeling, LabelBuildStats& stats,
-                       const PrunedBfsOptions& options)
-      : graph_(graph),
-        order_(order),
-        labeling_(labeling),
-        stats_(stats),
-        options_(options) {}
-
-  void InitScratch(Scratch& s) const {
-    s.dist.assign(graph_.num_vertices(), kInfDist);
-    s.count.assign(graph_.num_vertices(), 0);
+  // Couple-vertex skipping: only V_in vertices root BFSs; a V_out rank
+  // records its own trivial labels (Algorithm 3 lines 6-8).
+  bool IsHub(Vertex v) const {
+    return kMode == BfsMode::kPlain || IsInVertex(v);
   }
 
-  bool IsHub(Vertex) const { return true; }
-  void CommitNonHub(Rank, Vertex) {}
-  bool distance_pruning() const { return options_.distance_pruning; }
+  void CommitNonHub(Rank r, Vertex v) {
+    labeling_.in[v].Append(LabelEntry(r, 0, 1));
+    labeling_.out[v].Append(LabelEntry(r, 0, 1));
+    stats_.entries += 2;
+    stats_.canonical_entries += 2;
+  }
+
+  bool distance_pruning() const { return distance_pruning_; }
 
   void Stage(StagedHub& sh, Scratch& s) const {
     StagePass(sh, /*forward=*/true, s);
@@ -133,110 +73,128 @@ class ParallelPlainBuilder {
 
   void StagePass(StagedHub& sh, bool forward, Scratch& s) const {
     StagedPass& pass = forward ? sh.fwd : sh.bwd;
-    RunPassStaged(sh.hub, sh.rank, forward, s, pass);
+    RunPass(sh.hub, forward, s, pass.dequeued, pass.pruned,
+            [&](const StagedEvent& e, BfsStep) { pass.events.push_back(e); });
     pass.Finalize();
   }
 
   void Commit(const StagedHub& sh) {
-    CommitPass(sh, /*forward=*/true);
-    CommitPass(sh, /*forward=*/false);
+    for (bool forward : {true, false}) {
+      const StagedPass& pass = forward ? sh.fwd : sh.bwd;
+      for (const StagedEvent& e : pass.events) {
+        InsertLabel(sh.rank, forward, StepOf<kMode>(sh.hub, forward, e.w), e);
+      }
+      stats_.vertices_dequeued += pass.dequeued;
+      stats_.pruned_by_distance += pass.pruned;
+    }
   }
 
-  // A lower batch hub labels L_out(hub) from its backward pass and
-  // L_in(hub) from its forward pass, both as direct dequeue events.
+  // A lower batch hub h reaches L_out(hub) through its backward pass. In
+  // plain mode that is the direct dequeue of hub; in couple mode only the
+  // couple append — dequeuing couple(hub) at distance d labels hub at
+  // d + 1. (hub is a V_in vertex: backward passes dequeue V_out vertices,
+  // h's root append targets h itself, and the hub-couple suppression cannot
+  // apply since couple(hub) == couple(h) would mean hub == h.)
   Dist NewOutDist(const StagedHub& lower, Vertex hub) const {
-    return lower.bwd.DistAt(hub);
+    if constexpr (kMode == BfsMode::kPlain) {
+      return lower.bwd.DistAt(hub);
+    } else {
+      const Dist d = lower.bwd.DistAt(CoupleOf(hub));
+      return d == kInfDist ? kInfDist : d + 1;
+    }
   }
+
+  // ...and L_in(hub) through the direct dequeue of its forward pass in
+  // either mode (forward couple appends target V_out vertices).
   Dist NewInDist(const StagedHub& lower, Vertex hub) const {
     return lower.fwd.DistAt(hub);
   }
 
  private:
-  void RunPassStaged(Vertex hub, Rank hub_rank, bool forward, Scratch& s,
-                     StagedPass& out) const {
-    s.queue.clear();
-    s.dist[hub] = 0;
-    s.count[hub] = 1;
-    s.touched.push_back(hub);
-    s.queue.push_back(hub);
-    size_t head = 0;
-    while (head < s.queue.size()) {
-      Vertex w = s.queue[head++];
-      ++out.dequeued;
-      Dist via_dist = kInfDist;
-      if (options_.distance_pruning) {
-        JoinResult via = forward
-                             ? JoinLabels(labeling_.out[hub], labeling_.in[w])
-                             : JoinLabels(labeling_.out[w], labeling_.in[hub]);
-        via_dist = via.dist;
-        if (via.dist < s.dist[w]) {
-          ++out.pruned;
-          continue;
-        }
-      }
-      out.events.push_back({w, s.dist[w], s.count[w], via_dist});
-      const auto& next =
-          forward ? graph_.OutNeighbors(w) : graph_.InNeighbors(w);
-      for (Vertex wn : next) {
-        if (s.dist[wn] == kInfDist) {
-          if (hub_rank < order_.vertex_to_rank[wn]) {
-            s.dist[wn] = s.dist[w] + 1;
-            s.count[wn] = s.count[w];
-            s.touched.push_back(wn);
-            s.queue.push_back(wn);
-          }
-        } else if (s.dist[wn] == s.dist[w] + 1) {
-          s.count[wn] += s.count[w];
-        }
-      }
-    }
-    for (Vertex v : s.touched) {
-      s.dist[v] = kInfDist;
-      s.count[v] = 0;
-    }
-    s.touched.clear();
+  // The pass of `hub` against the current labels: counts every dequeue
+  // into `dequeued`, prunes (counted into `pruned`) where the pruning join
+  // beats the BFS distance, and hands each labeled dequeue to `label`. The
+  // backward root of couple mode is never distance-checked (kInfDist via),
+  // mirrored by ValidateStagedHub skipping it.
+  template <typename Label>
+  void RunPass(Vertex hub, bool forward, Scratch& bfs, uint64_t& dequeued,
+               uint64_t& pruned, Label&& label) const {
+    const std::vector<LabelSet>& side = forward ? labeling_.in : labeling_.out;
+    const LabelSet& root = forward ? labeling_.out[hub] : labeling_.in[hub];
+    bfs.Run(graph_, order_, hub, forward, root,
+            [&](Vertex w, Dist d, Count c, BfsStep step) {
+              ++dequeued;
+              Dist via_dist = kInfDist;
+              if (distance_pruning_ && step != BfsStep::kRoot) {
+                via_dist = bfs.RowJoin(side[w].entries(), d);
+                if (via_dist < d) {
+                  ++pruned;
+                  return false;
+                }
+              }
+              label(StagedEvent{w, d, c, via_dist}, step);
+              return true;
+            });
   }
 
-  void CommitPass(const StagedHub& sh, bool forward) {
-    const StagedPass& pass = forward ? sh.fwd : sh.bwd;
-    for (const StagedEvent& e : pass.events) {
-      if (options_.distance_pruning) {
-        if (e.via_dist == e.dist) {
-          ++stats_.non_canonical_entries;
-        } else {
-          ++stats_.canonical_entries;
-        }
-      }
-      LabelSet& target = forward ? labeling_.in[e.w] : labeling_.out[e.w];
-      target.Append(LabelEntry(sh.rank, e.dist, e.count));
+  // INSERT_LABEL (Algorithm 4) for one labeled dequeue `e` of the pass of
+  // hub rank `hr`, plus its canonical/non-canonical classification when
+  // distance pruning ran.
+  void InsertLabel(Rank hr, bool forward, BfsStep step, const StagedEvent& e) {
+    if (step == BfsStep::kRoot) {
+      labeling_.out[e.w].Append(LabelEntry(hr, 0, 1));
       ++stats_.entries;
+      ++stats_.canonical_entries;
+      return;
     }
-    stats_.vertices_dequeued += pass.dequeued;
-    stats_.pruned_by_distance += pass.pruned;
+    const uint64_t produced = step == BfsStep::kPair ? 2 : 1;
+    if (distance_pruning_) {
+      (e.via_dist == e.dist ? stats_.non_canonical_entries
+                            : stats_.canonical_entries) += produced;
+    }
+    std::vector<LabelSet>& side = forward ? labeling_.in : labeling_.out;
+    side[e.w].Append(LabelEntry(hr, e.dist, e.count));
+    if (step == BfsStep::kPair) {
+      side[CoupleOf(e.w)].Append(LabelEntry(hr, e.dist + 1, e.count));
+    }
+    stats_.entries += produced;
   }
 
   const DiGraph& graph_;
   const VertexOrdering& order_;
   HubLabeling& labeling_;
   LabelBuildStats& stats_;
-  const PrunedBfsOptions options_;
+  const bool distance_pruning_;
 };
+
+template <BfsMode kMode>
+void BuildHubLabeling(const DiGraph& graph, const VertexOrdering& order,
+                      HubLabeling& labeling, LabelBuildStats& stats,
+                      const PrunedBfsOptions& options) {
+  LabelBuilder<kMode> builder(graph, order, labeling, stats,
+                              options.distance_pruning);
+  if (options.num_threads <= 1) {
+    builder.BuildAll();
+  } else {
+    RunRankBatchedBuild(builder, order, options.num_threads);
+  }
+  stats.build_threads = options.num_threads;
+}
 
 }  // namespace
 
 void BuildPlainHubLabeling(const DiGraph& graph, const VertexOrdering& order,
                            HubLabeling& labeling, LabelBuildStats& stats,
                            const PrunedBfsOptions& options) {
-  if (options.num_threads == 0) {
-    PlainBuilder builder(graph, order, labeling, stats, options);
-    builder.BuildAll();
-  } else {
-    ParallelPlainBuilder builder(graph, order, labeling, stats, options);
-    ParallelBuildPlan plan;
-    plan.num_threads = options.num_threads;
-    RunRankBatchedBuild(builder, order, plan);
-  }
-  stats.build_threads = options.num_threads;
+  BuildHubLabeling<BfsMode::kPlain>(graph, order, labeling, stats, options);
+}
+
+void BuildCoupleSkipHubLabeling(const DiGraph& bipartite,
+                                const VertexOrdering& order,
+                                HubLabeling& labeling, LabelBuildStats& stats,
+                                const PrunedBfsOptions& options) {
+  BuildHubLabeling<BfsMode::kCoupleSkipping>(bipartite, order, labeling, stats,
+                                             options);
 }
 
 }  // namespace csc
