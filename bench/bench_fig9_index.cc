@@ -2,9 +2,8 @@
 // HP-SPC (baseline) vs CSC (proposed) on every dataset, plus (c) the
 // parallel-construction scaling matrix: build time per thread count for the
 // rank-batched parallel builder, against the sequential builder as the
-// num_threads=0 baseline. The CSC column's 1-thread cell is the sequential
-// builder too (CscIndex::Options::build_threads); HP-SPC's is the batched
-// builder at one worker.
+// num_threads=0 baseline. The 1-thread cells are the sequential builder
+// too, for CSC and HP-SPC alike (PrunedBfsOptions::num_threads).
 //
 // Expected shape (paper §VI.B.1-2): construction times within ~1.4x of each
 // other in both directions, and index sizes within a few percent (CSC's

@@ -51,9 +51,8 @@ namespace csc {
 ///      (canonical/non-canonical classification re-derives from via_seq).
 ///
 /// Batch sizes adapt to the dirty rate, from 1 up to `kMaxRankBatch`: a
-/// batch that re-ran any pass drops the
-/// next batch back to a singleton, a fully clean batch doubles toward the
-/// cap. The top-ranked hubs prune each other heavily (a dirty hub there
+/// batch that re-ran any pass drops the next batch back to a singleton, a
+/// fully clean batch doubles toward the cap. The top-ranked hubs prune each other heavily (a dirty hub there
 /// stages a near-unpruned BFS only to re-run it), so batches stay small
 /// exactly while that holds and grow geometrically through the long clean
 /// tail. The schedule depends only on staged results — which are
