@@ -289,9 +289,10 @@ class CompactBackend : public BackendBase {
   // the replacements (no arena here to run-edit).
   std::unique_ptr<CycleIndex> ApplyLabelPatch(
       const LabelPatch& patch) override {
-    if (!index_ ||
-        (patch.num_vertices != 0 &&
-         patch.num_vertices != index_->num_original_vertices())) {
+    if (!index_) return nullptr;
+    const Vertex n = index_->num_original_vertices();
+    if ((patch.num_vertices != 0 && patch.num_vertices != n) ||
+        !patch.WellFormed(n)) {
       return nullptr;
     }
     auto clone = std::make_unique<CompactBackend>();
@@ -392,13 +393,15 @@ class FlatBackend : public BackendBase {
     return true;
   }
 
-  // Bounded repair: clone with only the patched runs re-encoded
-  // (LabelArena::WithEditedRuns); a view-backed index materializes into an
-  // owned payload, so the mapping can be released after a patch lands.
+  // Bounded repair: clone with only the arena pages holding a patched run
+  // re-encoded (LabelArena::WithEditedRuns); every other page is shared with
+  // this snapshot. Untouched pages of a view-backed index keep viewing the
+  // mapping, whose keep-alive they hold. A malformed patch is refused.
   std::unique_ptr<CycleIndex> ApplyLabelPatch(
       const LabelPatch& patch) override {
-    if (patch.num_vertices != 0 &&
-        patch.num_vertices != index_.num_original_vertices()) {
+    const Vertex n = index_.num_original_vertices();
+    if ((patch.num_vertices != 0 && patch.num_vertices != n) ||
+        !patch.WellFormed(n)) {
       return nullptr;
     }
     auto clone = std::make_unique<FlatBackend<Index>>(name_);

@@ -1,6 +1,10 @@
 #include "core/label_arena.h"
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "util/varint.h"
 
@@ -35,7 +39,92 @@ void EncodeRun(const LabelSet& labels, std::vector<uint8_t>& out) {
   }
 }
 
+constexpr size_t kEntry = sizeof(LabelEntry);
+
+size_t PageCount(Vertex num_vertices) {
+  return (static_cast<size_t>(num_vertices) + LabelArena::kPageRuns - 1) /
+         LabelArena::kPageRuns;
+}
+
 }  // namespace
+
+LabelArena::Page LabelArena::MakePage(const uint32_t* offsets,
+                                      const uint8_t* payload, uint64_t bytes,
+                                      bool view,
+                                      std::shared_ptr<const void> mapping) {
+  Page page;
+  std::memcpy(page.offsets, offsets, sizeof(page.offsets));
+  page.view = view;
+  if (view) {
+    page.data = payload;
+    page.storage = std::move(mapping);
+  } else if (bytes > 0) {
+    std::shared_ptr<uint8_t[]> buffer =
+        std::make_shared_for_overwrite<uint8_t[]>(bytes);
+    std::memcpy(buffer.get(), payload, bytes);
+    page.data = buffer.get();
+    page.storage = std::move(buffer);
+  }
+  return page;
+}
+
+// Encodes one page at a time: runs accumulate in a scratch buffer reused
+// across the pages of one operation, and Finish copies them into the
+// page's own buffer.
+class LabelArena::PageWriter {
+ public:
+  explicit PageWriter(ArenaEncoding encoding) : encoding_(encoding) {}
+
+  // Appends `labels` as the page's next run.
+  void Append(const LabelSet& labels) {
+    if (encoding_ == ArenaEncoding::kPacked) {
+      const auto* words =
+          reinterpret_cast<const uint8_t*>(labels.entries().data());
+      buffer_.insert(buffer_.end(), words, words + labels.size() * kEntry);
+    } else {
+      EncodeRun(labels, buffer_);
+    }
+    EndRun();
+  }
+
+  // Appends an already-encoded run (memcpy only — the source may be an
+  // unaligned mapping view).
+  void AppendEncoded(const uint8_t* data, uint64_t bytes) {
+    buffer_.insert(buffer_.end(), data, data + bytes);
+    EndRun();
+  }
+
+  void AppendEmpty() { EndRun(); }
+
+  // Seals the page: runs past the last appended one are empty.
+  Page Finish() {
+    while (runs_ < kPageRuns) EndRun();
+    Page page = MakePage(offsets_, buffer_.data(), buffer_.size(),
+                         /*view=*/false, nullptr);
+    buffer_.clear();
+    runs_ = 0;
+    return page;
+  }
+
+ private:
+  void EndRun() {
+    uint64_t end = packed() ? buffer_.size() / kEntry : buffer_.size();
+    if (end > std::numeric_limits<uint32_t>::max()) {
+      std::fprintf(stderr,
+                   "csc: label arena page over the 32-bit offset limit "
+                   "(%llu units in %u runs)\n",
+                   static_cast<unsigned long long>(end), kPageRuns);
+      std::abort();
+    }
+    offsets_[++runs_] = static_cast<uint32_t>(end);
+  }
+  bool packed() const { return encoding_ == ArenaEncoding::kPacked; }
+
+  ArenaEncoding encoding_;
+  std::vector<uint8_t> buffer_;
+  uint32_t offsets_[kPageRuns + 1] = {};
+  Vertex runs_ = 0;
+};
 
 LabelArena LabelArena::Build(
     Vertex num_vertices,
@@ -43,24 +132,15 @@ LabelArena LabelArena::Build(
     ArenaEncoding encoding) {
   LabelArena arena;
   arena.encoding_ = encoding;
-  arena.offsets_.assign(num_vertices + 1, 0);
-  if (encoding == ArenaEncoding::kPacked) {
-    uint64_t total = 0;
-    for (Vertex v = 0; v < num_vertices; ++v) total += labels_of(v).size();
-    arena.entries_.reserve(total);
-    for (Vertex v = 0; v < num_vertices; ++v) {
-      const LabelSet& labels = labels_of(v);
-      arena.entries_.insert(arena.entries_.end(), labels.entries().begin(),
-                            labels.entries().end());
-      arena.offsets_[v + 1] = arena.entries_.size();
-    }
-    arena.total_entries_ = arena.entries_.size();
-  } else {
-    for (Vertex v = 0; v < num_vertices; ++v) {
-      const LabelSet& labels = labels_of(v);
-      EncodeRun(labels, arena.bytes_);
-      arena.offsets_[v + 1] = arena.bytes_.size();
-      arena.total_entries_ += labels.size();
+  arena.num_vertices_ = num_vertices;
+  arena.pages_.reserve(PageCount(num_vertices));
+  PageWriter writer(encoding);
+  for (Vertex v = 0; v < num_vertices; ++v) {
+    const LabelSet& labels = labels_of(v);
+    writer.Append(labels);
+    arena.total_entries_ += labels.size();
+    if ((v + 1) % kPageRuns == 0 || v + 1 == num_vertices) {
+      arena.pages_.push_back(writer.Finish());
     }
   }
   return arena;
@@ -95,22 +175,43 @@ bool LabelArena::Cursor::Next() {
 LabelArena::Cursor LabelArena::RunCursor(Vertex v) const {
   Cursor cursor;
   cursor.packed_ = packed();
+  RunSpan run = Run(v);
   if (cursor.packed_) {
-    cursor.p_ = PackedRunBegin(v);
-    cursor.end_ = PackedRunBegin(v + 1);
+    cursor.p_ = run.data;
+    cursor.end_ = run.data + run.length * kEntry;
   } else {
-    cursor.data_ = payload_data();
-    cursor.pos_ = offsets_[v];
-    cursor.byte_end_ = offsets_[v + 1];
+    cursor.data_ = run.data;
+    cursor.byte_end_ = run.length;
   }
   return cursor;
 }
 
 uint64_t LabelArena::RunSize(Vertex v) const {
-  if (packed()) return offsets_[v + 1] - offsets_[v];
+  if (packed()) return Run(v).length;
   uint64_t n = 0;
   for (Cursor c = RunCursor(v); c.Next();) ++n;
   return n;
+}
+
+bool LabelArena::is_view() const {
+  for (const Page& page : pages_) {
+    if (page.view) return true;
+  }
+  return false;
+}
+
+uint64_t LabelArena::SizeBytes() const {
+  uint64_t units = 0;
+  for (const Page& page : pages_) units += page.offsets[kPageRuns];
+  return units << unit_shift();
+}
+
+uint64_t LabelArena::OwnedBytes() const {
+  uint64_t bytes = pages_.size() * kPageOverheadBytes;
+  for (const Page& page : pages_) {
+    if (!page.view) bytes += uint64_t{page.offsets[kPageRuns]} << unit_shift();
+  }
+  return bytes;
 }
 
 LabelSet LabelArena::DecodeRun(Vertex v) const {
@@ -131,7 +232,6 @@ namespace {
 // payload has no alignment guarantee.
 
 constexpr int kRankShift = LabelEntry::kDistBits + LabelEntry::kCountBits;
-constexpr size_t kEntry = sizeof(LabelEntry);
 
 inline uint64_t LoadBits(const uint8_t* p) {
   uint64_t bits;
@@ -347,10 +447,9 @@ JoinResult JoinCursors(LabelArena::Cursor out, LabelArena::Cursor in) {
 JoinResult LabelArena::Join(const LabelArena& out_arena, Vertex s,
                             const LabelArena& in_arena, Vertex t) {
   if (out_arena.packed() && in_arena.packed()) {
-    return JoinPacked(out_arena.PackedRunBegin(s),
-                      out_arena.offsets_[s + 1] - out_arena.offsets_[s],
-                      in_arena.PackedRunBegin(t),
-                      in_arena.offsets_[t + 1] - in_arena.offsets_[t]);
+    RunSpan out = out_arena.Run(s);
+    RunSpan in = in_arena.Run(t);
+    return JoinPacked(out.data, out.length, in.data, in.length);
   }
   return JoinCursors(out_arena.RunCursor(s), in_arena.RunCursor(t));
 }
@@ -358,10 +457,10 @@ JoinResult LabelArena::Join(const LabelArena& out_arena, Vertex s,
 JoinResult LabelArena::JoinLinear(const LabelArena& out_arena, Vertex s,
                                   const LabelArena& in_arena, Vertex t) {
   if (out_arena.packed() && in_arena.packed()) {
-    return JoinPackedLinear(out_arena.PackedRunBegin(s),
-                            out_arena.PackedRunBegin(s + 1),
-                            in_arena.PackedRunBegin(t),
-                            in_arena.PackedRunBegin(t + 1));
+    RunSpan out = out_arena.Run(s);
+    RunSpan in = in_arena.Run(t);
+    return JoinPackedLinear(out.data, out.data + out.length * kEntry, in.data,
+                            in.data + in.length * kEntry);
   }
   return JoinCursors(out_arena.RunCursor(s), in_arena.RunCursor(t));
 }
@@ -369,8 +468,9 @@ JoinResult LabelArena::JoinLinear(const LabelArena& out_arena, Vertex s,
 std::optional<std::pair<Dist, Count>> LabelArena::FindHub(
     Vertex v, Rank hub_rank) const {
   if (packed()) {
-    const uint8_t* base = PackedRunBegin(v);
-    size_t n = offsets_[v + 1] - offsets_[v];
+    RunSpan run = Run(v);
+    const uint8_t* base = run.data;
+    size_t n = run.length;
     size_t lo = 0;
     size_t hi = n;
     while (lo < hi) {
@@ -396,133 +496,106 @@ std::optional<std::pair<Dist, Count>> LabelArena::FindHub(
 }
 
 void LabelArena::Slice(const std::function<bool(Vertex)>& keep) {
-  Vertex n = num_vertices();
-  if (n == 0) return;
-  const uint8_t* payload = payload_data();
-  const size_t unit = packed() ? kEntry : 1;
-  // Pass 1: the new run boundaries (one keep() call per vertex; varint
-  // runs also need a decode to recount entries).
-  std::vector<uint64_t> new_offsets(static_cast<size_t>(n) + 1, 0);
+  // Every page is rewritten into owned storage, so slicing a view
+  // materializes just the kept runs and drops the mapping.
+  std::vector<Page> sliced;
+  sliced.reserve(pages_.size());
+  PageWriter writer(encoding_);
   uint64_t kept_entries = 0;
-  for (Vertex v = 0; v < n; ++v) {
-    uint64_t run = keep(v) ? offsets_[v + 1] - offsets_[v] : 0;
-    new_offsets[v + 1] = new_offsets[v] + run;
-    if (run > 0) kept_entries += packed() ? run : RunSize(v);
-  }
-  // Pass 2: copy the kept runs into fresh owned storage. The source may be
-  // an unaligned mapping view, so packed entries move by memcpy only —
-  // never through LabelEntry lvalues (the file-wide unaligned-load rule).
-  std::vector<LabelEntry> kept_words;
-  std::vector<uint8_t> kept_bytes;
-  if (packed()) {
-    kept_words.resize(new_offsets[n]);
-  } else {
-    kept_bytes.reserve(new_offsets[n]);
-  }
-  uint64_t written = 0;
-  for (Vertex v = 0; v < n; ++v) {
-    uint64_t run = new_offsets[v + 1] - new_offsets[v];
-    if (run == 0) continue;
-    const uint8_t* src = payload + offsets_[v] * unit;
-    if (packed()) {
-      std::memcpy(kept_words.data() + written, src, run * kEntry);
-      written += run;
+  for (Vertex v = 0; v < num_vertices_; ++v) {
+    if (keep(v)) {
+      RunSpan run = Run(v);
+      writer.AppendEncoded(run.data, run.length << unit_shift());
+      kept_entries += RunSize(v);
     } else {
-      kept_bytes.insert(kept_bytes.end(), src, src + run);
+      writer.AppendEmpty();
+    }
+    if ((v + 1) % kPageRuns == 0 || v + 1 == num_vertices_) {
+      sliced.push_back(writer.Finish());
     }
   }
-  offsets_ = std::move(new_offsets);
-  entries_ = std::move(kept_words);
-  bytes_ = std::move(kept_bytes);
-  view_payload_ = nullptr;
-  external_.reset();
+  pages_ = std::move(sliced);
   total_entries_ = kept_entries;
+}
+
+bool LabelArena::EditsWellFormed(
+    Vertex num_vertices,
+    const std::vector<std::pair<Vertex, LabelSet>>& edits) {
+  for (size_t i = 0; i < edits.size(); ++i) {
+    if (edits[i].first >= num_vertices) return false;
+    if (i > 0 && edits[i].first <= edits[i - 1].first) return false;
+  }
+  return true;
 }
 
 LabelArena LabelArena::WithEditedRuns(
     const std::vector<std::pair<Vertex, LabelSet>>& edits) const {
-  const Vertex n = num_vertices();
-  LabelArena out;
-  out.encoding_ = encoding_;
-  out.offsets_.assign(static_cast<size_t>(n) + 1, 0);
-  // Varint replacements are encoded once up front so both passes see their
-  // exact byte length; packed replacements are sized straight off the set.
-  std::vector<std::vector<uint8_t>> encoded;
-  if (!packed()) {
-    encoded.resize(edits.size());
-    for (size_t i = 0; i < edits.size(); ++i) {
-      EncodeRun(edits[i].second, encoded[i]);
-    }
+  if (!EditsWellFormed(num_vertices_, edits)) {
+    std::fprintf(stderr,
+                 "csc: WithEditedRuns needs edits sorted by vertex, without "
+                 "duplicates, below %u\n",
+                 num_vertices_);
+    std::abort();
   }
-  const uint8_t* payload = payload_data();
-  const size_t unit = packed() ? kEntry : 1;
-  // Pass 1: new run boundaries; the entry total adjusts by each edit's
-  // delta against the run it replaces.
-  uint64_t total = total_entries_;
+  LabelArena out = *this;  // shares every page; touched ones are replaced
+  PageWriter writer(encoding_);
   size_t next_edit = 0;
-  for (Vertex v = 0; v < n; ++v) {
-    uint64_t run;
-    if (next_edit < edits.size() && edits[next_edit].first == v) {
-      const LabelSet& labels = edits[next_edit].second;
-      run = packed() ? labels.size() : encoded[next_edit].size();
-      total += labels.size();
-      total -= RunSize(v);
-      ++next_edit;
-    } else {
-      run = offsets_[v + 1] - offsets_[v];
-    }
-    out.offsets_[v + 1] = out.offsets_[v] + run;
-  }
-  // Pass 2: copy unedited runs (memcpy only — the source may be an
-  // unaligned mapping view) and write the replacement encodings in place.
-  if (packed()) {
-    out.entries_.resize(out.offsets_[n]);
-  } else {
-    out.bytes_.reserve(out.offsets_[n]);
-  }
-  next_edit = 0;
-  for (Vertex v = 0; v < n; ++v) {
-    uint64_t run = out.offsets_[v + 1] - out.offsets_[v];
-    if (next_edit < edits.size() && edits[next_edit].first == v) {
-      if (run > 0) {
-        if (packed()) {
-          std::memcpy(out.entries_.data() + out.offsets_[v],
-                      edits[next_edit].second.entries().data(), run * kEntry);
-        } else {
-          out.bytes_.insert(out.bytes_.end(), encoded[next_edit].begin(),
-                            encoded[next_edit].end());
-        }
+  while (next_edit < edits.size()) {
+    const size_t page = edits[next_edit].first / kPageRuns;
+    const Vertex first = static_cast<Vertex>(page * kPageRuns);
+    const Vertex last = std::min<Vertex>(first + kPageRuns, num_vertices_);
+    for (Vertex v = first; v < last; ++v) {
+      if (next_edit < edits.size() && edits[next_edit].first == v) {
+        const LabelSet& labels = edits[next_edit].second;
+        out.total_entries_ += labels.size();
+        out.total_entries_ -= RunSize(v);
+        writer.Append(labels);
+        ++next_edit;
+      } else {
+        RunSpan run = Run(v);
+        writer.AppendEncoded(run.data, run.length << unit_shift());
       }
-      ++next_edit;
-      continue;
     }
-    if (run == 0) continue;
-    const uint8_t* src = payload + offsets_[v] * unit;
-    if (packed()) {
-      std::memcpy(out.entries_.data() + out.offsets_[v], src, run * kEntry);
-    } else {
-      out.bytes_.insert(out.bytes_.end(), src, src + run);
-    }
+    out.pages_[page] = writer.Finish();
   }
-  out.total_entries_ = total;
   return out;
 }
 
 void LabelArena::AppendTo(std::string& out) const {
   out.push_back(static_cast<char>(encoding_));
-  uint32_t n = num_vertices();
+  uint32_t n = num_vertices_;
   char buf[4];
   std::memcpy(buf, &n, 4);
   out.append(buf, 4);
   std::vector<uint8_t> varints;
-  for (Vertex v = 0; v < n; ++v) {
-    AppendVarint(varints, offsets_[v + 1] - offsets_[v]);
-  }
+  for (Vertex v = 0; v < n; ++v) AppendVarint(varints, Run(v).length);
   out.append(reinterpret_cast<const char*>(varints.data()), varints.size());
-  uint64_t payload_size = SizeBytes();
-  if (payload_size > 0) {
-    out.append(reinterpret_cast<const char*>(payload_data()), payload_size);
+  for (const Page& page : pages_) {
+    uint64_t bytes = uint64_t{page.offsets[kPageRuns]} << unit_shift();
+    if (bytes > 0) {
+      out.append(reinterpret_cast<const char*>(page.data), bytes);
+    }
   }
+}
+
+bool operator==(const LabelArena& a, const LabelArena& b) {
+  if (a.encoding_ != b.encoding_ || a.num_vertices_ != b.num_vertices_) {
+    return false;
+  }
+  for (size_t i = 0; i < a.pages_.size(); ++i) {
+    const LabelArena::Page& x = a.pages_[i];
+    const LabelArena::Page& y = b.pages_[i];
+    if (std::memcmp(x.offsets, y.offsets, sizeof(x.offsets)) != 0) {
+      return false;
+    }
+    uint64_t bytes = uint64_t{x.offsets[LabelArena::kPageRuns]}
+                     << a.unit_shift();
+    if (bytes > 0 && x.data != y.data &&
+        std::memcmp(x.data, y.data, bytes) != 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::optional<LabelArena> LabelArena::ParseImpl(
@@ -536,11 +609,17 @@ std::optional<LabelArena> LabelArena::ParseImpl(
   pos += 4;
   // Each vertex contributes at least one run-length byte, so a count the
   // remaining buffer cannot describe is malformed — reject before sizing
-  // the offsets table from attacker-controlled input.
+  // the page table from attacker-controlled input.
   if (n > size - pos) return std::nullopt;
   LabelArena arena;
   arena.encoding_ = static_cast<ArenaEncoding>(enc);
-  arena.offsets_.assign(static_cast<size_t>(n) + 1, 0);
+  arena.num_vertices_ = n;
+  // Pass 1: run lengths into per-page offsets, kPageRuns + 1 per page.
+  // `total` is the running absolute payload offset.
+  const size_t num_pages = PageCount(n);
+  constexpr size_t kStride = kPageRuns + 1;
+  std::vector<uint32_t> offsets(num_pages * kStride, 0);
+  uint64_t total = 0;
   for (uint32_t v = 0; v < n; ++v) {
     // Bounded varint decode: never read past the buffer.
     uint64_t run = 0;
@@ -554,56 +633,55 @@ std::optional<LabelArena> LabelArena::ParseImpl(
     }
     // No run (and hence no offset sum) can exceed what the buffer could
     // possibly hold; rejecting here keeps the arithmetic below overflow-free.
-    if (run > size || arena.offsets_[v] + run > size) {
-      return std::nullopt;
-    }
-    arena.offsets_[v + 1] = arena.offsets_[v] + run;
+    if (run > size || total + run > size) return std::nullopt;
+    total += run;
+    uint32_t* page = offsets.data() + v / kPageRuns * kStride;
+    const uint32_t i = v % kPageRuns;
+    uint64_t end = page[i] + run;
+    if (end > std::numeric_limits<uint32_t>::max()) return std::nullopt;
+    page[i + 1] = static_cast<uint32_t>(end);
   }
-  uint64_t payload = arena.offsets_[n];
-  if (arena.packed()) {
-    if (payload > (size - pos) / sizeof(LabelEntry)) return std::nullopt;
-    if (view) {
-      arena.view_payload_ = data + pos;
-      arena.external_ = std::move(keep_alive);
+  if (n % kPageRuns != 0) {
+    // Runs past the last vertex are empty.
+    uint32_t* last = offsets.data() + (num_pages - 1) * kStride;
+    std::fill(last + n % kPageRuns + 1, last + kStride, last[n % kPageRuns]);
+  }
+  const int unit_shift = arena.unit_shift();
+  if (total > (size - pos) >> unit_shift) return std::nullopt;
+  // Pass 2: make the pages over their payload (viewed or copied),
+  // validating varint streams as they go.
+  const uint8_t* payload = data + pos;
+  arena.pages_.reserve(num_pages);
+  for (size_t p = 0; p < num_pages; ++p) {
+    const uint32_t* page = offsets.data() + p * kStride;
+    const uint64_t bytes = uint64_t{page[kPageRuns]} << unit_shift;
+    if (arena.packed()) {
+      arena.total_entries_ += page[kPageRuns];
     } else {
-      arena.entries_.resize(payload);
-      if (payload > 0) {
-        std::memcpy(arena.entries_.data(), data + pos,
-                    payload * sizeof(LabelEntry));
-      }
-    }
-    pos += payload * sizeof(LabelEntry);
-    arena.total_entries_ = payload;
-  } else {
-    if (payload > size - pos) return std::nullopt;
-    const uint8_t* stream = data + pos;
-    if (view) {
-      arena.view_payload_ = stream;
-      arena.external_ = std::move(keep_alive);
-    } else {
-      arena.bytes_.assign(stream, stream + payload);
-    }
-    pos += payload;
-    // Count entries by decoding; also validates the streams terminate on
-    // their run boundaries (so a view never walks past a run mid-triple).
-    for (uint32_t v = 0; v < n; ++v) {
-      size_t p = arena.offsets_[v];
-      const size_t end = arena.offsets_[v + 1];
-      while (p < end) {
-        for (int field = 0; field < 3; ++field) {
-          int shift = 0;
-          for (;;) {
-            if (p >= end || shift > 63) return std::nullopt;
-            uint8_t byte = stream[p++];
-            if ((byte & 0x80) == 0) break;
-            shift += 7;
+      // Count entries by decoding; also validates the streams terminate on
+      // their run boundaries (so a view never walks past a run mid-triple).
+      for (Vertex i = 0; i < kPageRuns; ++i) {
+        size_t at = page[i];
+        const size_t end = page[i + 1];
+        while (at < end) {
+          for (int field = 0; field < 3; ++field) {
+            int shift = 0;
+            for (;;) {
+              if (at >= end || shift > 63) return std::nullopt;
+              uint8_t byte = payload[at++];
+              if ((byte & 0x80) == 0) break;
+              shift += 7;
+            }
           }
+          ++arena.total_entries_;
         }
-        ++arena.total_entries_;
       }
-      if (p != end) return std::nullopt;
     }
+    arena.pages_.push_back(
+        MakePage(page, payload, bytes, view, view ? keep_alive : nullptr));
+    payload += bytes;
   }
+  pos += total << unit_shift;
   return arena;
 }
 

@@ -28,8 +28,8 @@ enum class ArenaEncoding : uint8_t {
   kVarint = 1,
 };
 
-/// A flat, read-only label store: the label sets of all vertices laid out in
-/// one arena with CSR-style offsets. This is the shared storage layer under
+/// A read-only label store: the label sets of all vertices laid out as
+/// encoded runs, one per vertex. This is the shared storage layer under
 /// every flat serving-tier index form; building one is a single pass over
 /// per-vertex LabelSets, and querying is a merge of two runs.
 ///
@@ -37,16 +37,31 @@ enum class ArenaEncoding : uint8_t {
 /// invariant), which the merge join, the galloping skip path, and the varint
 /// delta encoding all rely on.
 ///
-/// Storage is accessed through a payload view that points either at vectors
-/// the arena owns (Build / Parse) or at an externally owned buffer — e.g. a
-/// read-only file mapping (ParseView). View-backed arenas keep the mapping
-/// alive through a shared handle, so copies and the engines serving them
-/// stay valid for as long as any of them exists. The external buffer has no
-/// alignment guarantee, so packed entries are always decoded through
-/// unaligned 8-byte loads (LoadPackedEntry); compilers lower these to single
-/// mov/ldur instructions.
+/// Runs are grouped into fixed pages of kPageRuns consecutive vertices. A
+/// page is one entry of the arena's page table: its runs' offsets, a
+/// pointer to their payload, and a shared handle keeping that payload
+/// alive. Payload bytes never change once written. Copying an arena copies
+/// the page table (about 4.5 bytes per vertex) and shares every payload;
+/// WithEditedRuns re-encodes only the pages its edits touch — so a patch
+/// costs its touched pages plus that table copy, not a copy of the whole
+/// payload. A run lookup reads one table entry and then the run, as with a
+/// flat offsets array; within a run the payload stays contiguous, so the
+/// join kernels are unchanged.
+///
+/// A page's payload is either a buffer of its own (Build, Parse, Slice,
+/// WithEditedRuns) or a range of an externally owned buffer — e.g. a
+/// read-only file mapping (ParseView). View pages keep the mapping alive
+/// through a shared handle, so copies, patched copies that still share an
+/// untouched view page, and the engines serving them stay valid for as long
+/// as any of them exists. The external buffer has no alignment guarantee,
+/// so packed entries are always decoded through unaligned 8-byte loads
+/// (LoadPackedEntry); compilers lower these to single mov/ldur instructions.
 class LabelArena {
  public:
+  /// Vertex runs per page: the unit of sharing between an arena and its
+  /// patched copies.
+  static constexpr Vertex kPageRuns = 64;
+
   LabelArena() = default;
 
   /// Flattens `labels_of(v)` for v in [0, num_vertices) into one arena.
@@ -58,23 +73,21 @@ class LabelArena {
   static LabelArena FromLabelSets(const std::vector<LabelSet>& sets,
                                   ArenaEncoding encoding);
 
-  Vertex num_vertices() const {
-    return offsets_.empty() ? 0 : static_cast<Vertex>(offsets_.size() - 1);
-  }
+  Vertex num_vertices() const { return num_vertices_; }
   uint64_t total_entries() const { return total_entries_; }
   uint64_t RunSize(Vertex v) const;  // entries in v's run
   ArenaEncoding encoding() const { return encoding_; }
   bool packed() const { return encoding_ == ArenaEncoding::kPacked; }
-  /// True when the payload lives in an externally owned buffer (ParseView).
-  bool is_view() const { return view_payload_ != nullptr; }
+  /// True when some page's payload lives in an externally owned buffer
+  /// (ParseView). A patched copy of a view keeps viewing the pages its
+  /// edits did not touch.
+  bool is_view() const;
 
-  /// The raw payload: packed entry words or varint bytes, wherever they
-  /// live. Never null for a built arena; may be unaligned when viewing a
-  /// mapping.
-  const uint8_t* payload_data() const CSC_LIFETIME_BOUND {
-    if (view_payload_ != nullptr) return view_payload_;
-    return packed() ? reinterpret_cast<const uint8_t*>(entries_.data())
-                    : bytes_.data();
+  /// Start of run `v`'s payload: packed entry words (8 bytes each; decode
+  /// through LoadPackedEntry or RunCursor) or the run's varint triples. May
+  /// be unaligned when viewing a mapping.
+  const uint8_t* RunData(Vertex v) const CSC_LIFETIME_BOUND {
+    return Run(v).data;
   }
 
   /// Decodes the packed entry word at `p` (unaligned-safe).
@@ -82,12 +95,6 @@ class LabelArena {
     uint64_t bits;
     std::memcpy(&bits, p, sizeof(bits));
     return LabelEntry::FromBits(bits);
-  }
-
-  /// Start of run `v`'s packed payload, 8 bytes per entry (packed encoding
-  /// only; decode through LoadPackedEntry or RunCursor).
-  const uint8_t* PackedRunBegin(Vertex v) const CSC_LIFETIME_BOUND {
-    return payload_data() + offsets_[v] * sizeof(LabelEntry);
   }
 
   /// A decoding cursor over one vertex's run, valid for either encoding.
@@ -159,35 +166,39 @@ class LabelArena {
   /// resident labels to its owned vertices.
   void Slice(const std::function<bool(Vertex)>& keep);
 
+  /// True when `edits` is a valid WithEditedRuns argument for an arena of
+  /// `num_vertices` runs: strictly ascending vertices, all below
+  /// num_vertices.
+  static bool EditsWellFormed(
+      Vertex num_vertices,
+      const std::vector<std::pair<Vertex, LabelSet>>& edits);
+
   /// Returns a copy of this arena with the runs named in `edits` replaced by
-  /// the given label sets; every other run is copied byte-identically.
-  /// `edits` must be sorted by vertex with no duplicates. Because the varint
-  /// encoding restarts its rank delta at every run boundary, re-encoding one
-  /// run never perturbs its neighbours — an edited arena is byte-identical
-  /// to one built from scratch over the same label sets. The result always
-  /// owns its payload. This is the storage primitive under
+  /// the given label sets. Only the pages holding an edited run are
+  /// re-encoded (into fresh owned buffers); every other page shares its
+  /// payload with this arena, view pages included. Because the varint encoding restarts its
+  /// rank delta at every run boundary, re-encoding one run never perturbs
+  /// its neighbours — an edited arena is byte-identical to one built from
+  /// scratch over the same label sets. `edits` must satisfy EditsWellFormed
+  /// (checked; a malformed list aborts — callers holding untrusted edits
+  /// validate first). This is the storage primitive under
   /// CycleIndex::ApplyLabelPatch (serving-tier incremental repair).
   LabelArena WithEditedRuns(
       const std::vector<std::pair<Vertex, LabelSet>>& edits) const;
 
   /// Payload bytes only — 8 per entry when packed, the actual byte-stream
   /// size when varint (the paper's Figure 9(b) accounting).
-  uint64_t SizeBytes() const {
-    if (offsets_.empty()) return 0;
-    return packed() ? offsets_.back() * sizeof(LabelEntry) : offsets_.back();
-  }
-  /// Payload plus offsets: the true resident footprint. A view-backed
-  /// arena's payload is file-backed and shared across every arena viewing
-  /// the same mapping, but is still counted here (it occupies page cache
-  /// once resident); OwnedBytes excludes it.
+  uint64_t SizeBytes() const;
+  /// Payload plus the page table (run offsets): the true resident footprint
+  /// of this arena. Payload shared with other arenas, and view pages'
+  /// file-backed payload (resident in page cache once touched), is still
+  /// counted here; OwnedBytes excludes view payload.
   uint64_t MemoryBytes() const {
-    return SizeBytes() + offsets_.size() * sizeof(uint64_t);
+    return SizeBytes() + pages_.size() * kPageOverheadBytes;
   }
-  /// Heap bytes this arena owns itself (offsets always; payload unless the
-  /// arena views an external mapping).
-  uint64_t OwnedBytes() const {
-    return offsets_.size() * sizeof(uint64_t) + (is_view() ? 0 : SizeBytes());
-  }
+  /// Heap bytes behind this arena (the page table always; payload unless
+  /// the page views an external mapping).
+  uint64_t OwnedBytes() const;
   double BytesPerEntry() const {
     return total_entries_ == 0 ? 0.0
                                : static_cast<double>(SizeBytes()) /
@@ -198,7 +209,8 @@ class LabelArena {
   ///   u8 encoding | u32 num_vertices | per-vertex varint run length
   ///   (entries if packed, bytes if varint) | payload.
   /// Fixed-width fields are native-endian (little-endian on every platform
-  /// this library targets; matches the CompactIndex wire format).
+  /// this library targets; matches the CompactIndex wire format). Pages are
+  /// an in-memory layout only: the payload is written as one flat stream.
   void AppendTo(std::string& out) const;
   /// Parses one serialized arena from `bytes` starting at `pos`, advancing
   /// `pos` past it; the result owns its payload. nullopt on malformed input
@@ -207,47 +219,77 @@ class LabelArena {
   static std::optional<LabelArena> Parse(const uint8_t* data, size_t size,
                                          size_t& pos);
 
-  /// As Parse, but the payload stays in `[data, data + size)` and the arena
+  /// As Parse, but the payload stays in `[data, data + size)` and every page
   /// only records a view into it — the zero-copy load path for read-only
   /// file mappings. Validation is identical to Parse (offsets bounds, and a
   /// full varint-stream walk for kVarint, which also counts entries), so a
   /// truncated or corrupt mapping is rejected the same way. `keep_alive` is
-  /// retained for the life of the arena and every copy of it; pass the
-  /// mapping handle. `data` is deliberately not CSC_LIFETIME_BOUND: the
-  /// keep-alive handle makes the result self-keeping (contract rule — see
+  /// retained by every page, so it lives as long as the arena, its copies,
+  /// or any patched copy still sharing one of its pages; pass the mapping
+  /// handle. `data` is deliberately not CSC_LIFETIME_BOUND: the keep-alive
+  /// handle makes the result self-keeping (contract rule — see
   /// util/lifetime_annotations.h).
   static std::optional<LabelArena> ParseView(
       const uint8_t* data, size_t size, size_t& pos,
       std::shared_ptr<const void> keep_alive);
 
   /// Logical equality: encoding, run boundaries, and payload bytes — where
-  /// the payload lives (owned or viewed) does not matter.
-  friend bool operator==(const LabelArena& a, const LabelArena& b) {
-    if (a.encoding_ != b.encoding_ || a.offsets_ != b.offsets_) return false;
-    uint64_t size = a.SizeBytes();
-    if (size != b.SizeBytes()) return false;
-    return size == 0 ||
-           std::memcmp(a.payload_data(), b.payload_data(), size) == 0;
-  }
+  /// the payload lives (owned or viewed, shared or not) does not matter.
+  friend bool operator==(const LabelArena& a, const LabelArena& b);
 
  private:
+  // The runs of kPageRuns consecutive vertices: their offsets and a pointer
+  // to their payload. Pages sit by value in the page table, so a run lookup
+  // reads one table entry and then the run; copying an arena copies the
+  // table, while the payload a page points at is immutable and shared by
+  // every copy of the page.
+  struct Page {
+    // Where the page's runs start: `storage`'s buffer, or the page's range
+    // of an external mapping.
+    const uint8_t* data = nullptr;
+    // offsets[i] .. offsets[i + 1]: run i of the page, in entries (packed)
+    // or bytes (varint) from `data`; runs past the arena's last vertex are
+    // empty. offsets[kPageRuns] is the page's payload size.
+    uint32_t offsets[kPageRuns + 1] = {};
+    // True when `storage` is an external mapping (ParseView) rather than a
+    // buffer this page filled.
+    bool view = false;
+    // Keeps `data` alive; null for a page of empty runs.
+    std::shared_ptr<const void> storage;
+  };
+  // A page over `offsets` whose payload is the `bytes` at `payload`: copied
+  // into a fresh buffer, or — for a view — left in place and kept alive by
+  // `mapping`.
+  static Page MakePage(const uint32_t* offsets, const uint8_t* payload,
+                       uint64_t bytes, bool view,
+                       std::shared_ptr<const void> mapping);
+  // Accounting cost of one page beyond its payload: its page-table entry.
+  static constexpr uint64_t kPageOverheadBytes = sizeof(Page);
+
+  // One run's payload: `length` entries (packed) or bytes (varint).
+  struct CSC_VIEW_TYPE RunSpan {
+    const uint8_t* data;
+    uint64_t length;
+  };
+  RunSpan Run(Vertex v) const CSC_LIFETIME_BOUND {
+    const Page& page = pages_[v / kPageRuns];
+    const uint32_t* offsets = page.offsets + v % kPageRuns;
+    return {page.data + (uint64_t{offsets[0]} << unit_shift()),
+            uint64_t{offsets[1] - offsets[0]}};
+  }
+  // log2 of the payload bytes per offset unit.
+  int unit_shift() const { return packed() ? 3 : 0; }
+
+  class PageWriter;
   static std::optional<LabelArena> ParseImpl(
       const uint8_t* data, size_t size, size_t& pos, bool view,
       std::shared_ptr<const void> keep_alive);
 
   ArenaEncoding encoding_ = ArenaEncoding::kPacked;
-  // offsets_[v] .. offsets_[v+1]: entry indexes into the packed payload or
-  // byte indexes into the varint payload. Size n+1 once built, empty
-  // before. Always materialized (owned) — the wire format stores varint run
-  // lengths, so a view load reconstructs these in one pass.
-  std::vector<uint64_t> offsets_;
-  std::vector<LabelEntry> entries_;  // owned packed payload
-  std::vector<uint8_t> bytes_;       // owned varint payload
-  // When non-null, the payload lives in an external buffer (file mapping)
-  // and the vectors above stay empty; external_ keeps the buffer alive.
-  const uint8_t* view_payload_ = nullptr;
-  std::shared_ptr<const void> external_;
+  Vertex num_vertices_ = 0;
   uint64_t total_entries_ = 0;
+  // pages_[v / kPageRuns] holds run v; ceil(n / kPageRuns) pages.
+  std::vector<Page> pages_;
 };
 
 }  // namespace csc

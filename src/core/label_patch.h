@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/label_arena.h"
 #include "labeling/label_set.h"
 #include "util/common.h"
 #include "util/label_entry.h"
@@ -19,11 +20,14 @@ namespace csc {
 ///
 /// Patches are extracted from a maintained shadow CscIndex by
 /// ExtractLabelPatch (src/dynamic/patch.h) and applied through
-/// CycleIndex::ApplyLabelPatch, which clones the snapshot with only the
-/// named runs re-encoded (LabelArena::WithEditedRuns). A patch is only
-/// meaningful under the ordering the snapshot was built with: run contents
-/// are rank-encoded, so the serving pipeline pins its vertex ordering while
-/// repair is active.
+/// CycleIndex::ApplyLabelPatch. For the arena-backed forms that clones the
+/// snapshot by re-encoding only the arena pages holding a named run and
+/// sharing every other page with the source (LabelArena::WithEditedRuns),
+/// so applying a patch costs its damage, not the index size. A malformed
+/// patch (see WellFormed) is refused with nullptr, and the serving tier then
+/// derives a full snapshot instead. A patch is only meaningful under the
+/// ordering the snapshot was built with: run contents are rank-encoded, so
+/// the serving pipeline pins its vertex ordering while repair is active.
 struct LabelPatch {
   /// Original-vertex count of the index the patch targets (consistency
   /// check; 0 means "unknown, skip the check").
@@ -34,6 +38,13 @@ struct LabelPatch {
   std::vector<std::pair<Vertex, LabelSet>> out_runs;
 
   bool empty() const { return in_runs.empty() && out_runs.empty(); }
+
+  /// True when both run lists are sorted by vertex without duplicates and
+  /// name only vertices below `n`, the target index's vertex count.
+  bool WellFormed(Vertex n) const {
+    return LabelArena::EditsWellFormed(n, in_runs) &&
+           LabelArena::EditsWellFormed(n, out_runs);
+  }
 
   /// Number of serving runs the patch rewrites (the "hubs repaired" damage
   /// metric fed to the repair-vs-rebuild decision).

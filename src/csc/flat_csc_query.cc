@@ -1,6 +1,7 @@
 #include "csc/flat_csc_query.h"
 
 #include <cstring>
+#include <utility>
 
 #include "graph/bipartite.h"
 
@@ -39,7 +40,12 @@ CycleCount QueryThroughEdge(const LabelArena& out_arena,
   return {(r.dist + 1) / 2 + 1, r.count};
 }
 
-std::vector<Rank> CoupleRanksFromCompact(const CompactIndex& compact) {
+const CoupleRanks& NoCoupleRanks() {
+  static const CoupleRanks empty = std::make_shared<const std::vector<Rank>>();
+  return empty;
+}
+
+CoupleRanks CoupleRanksFromCompact(const CompactIndex& compact) {
   const std::vector<Vertex>& rank_to_vertex =
       compact.bipartite_rank_to_vertex();
   std::vector<Rank> in_vertex_rank(compact.num_original_vertices());
@@ -48,7 +54,7 @@ std::vector<Rank> CoupleRanksFromCompact(const CompactIndex& compact) {
       in_vertex_rank[OriginalOf(rank_to_vertex[r])] = r;
     }
   }
-  return in_vertex_rank;
+  return std::make_shared<const std::vector<Rank>>(std::move(in_vertex_rank));
 }
 
 std::string SerializeFlat(const char magic[4], const LabelArena& in_arena,
@@ -99,12 +105,13 @@ std::optional<FlatParts> DeserializeImpl(
   if (pos + sizeof(Rank) * static_cast<uint64_t>(n) != size) {
     return std::nullopt;
   }
+  std::vector<Rank> in_vertex_rank;
+  if (!ParseCoupleRanks(data + pos, n, in_vertex_rank)) return std::nullopt;
   FlatParts parts;
   parts.in = std::move(*in_arena);
   parts.out = std::move(*out_arena);
-  if (!ParseCoupleRanks(data + pos, n, parts.in_vertex_rank)) {
-    return std::nullopt;
-  }
+  parts.in_vertex_rank =
+      std::make_shared<const std::vector<Rank>>(std::move(in_vertex_rank));
   return parts;
 }
 

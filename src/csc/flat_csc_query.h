@@ -34,9 +34,16 @@ CycleCount QueryThroughEdge(const LabelArena& out_arena,
                             const std::vector<Rank>& in_vertex_rank, Vertex u,
                             Vertex v);
 
-/// in_vertex_rank[v] = bipartite rank of v_i, extracted from a compact
-/// index's rank permutation.
-std::vector<Rank> CoupleRanksFromCompact(const CompactIndex& compact);
+/// A flat index's couple-rank map (in_vertex_rank[v] = bipartite rank of
+/// v_i). Immutable once built, so a patched clone shares it with its source
+/// instead of copying 4n bytes; never null (see NoCoupleRanks).
+using CoupleRanks = std::shared_ptr<const std::vector<Rank>>;
+
+/// The shared empty map a default-constructed flat index holds.
+const CoupleRanks& NoCoupleRanks();
+
+/// The couple-rank map extracted from a compact index's rank permutation.
+CoupleRanks CoupleRanksFromCompact(const CompactIndex& compact);
 
 /// Serialization envelope shared by the flat forms:
 ///   4-byte magic | in arena | out arena | couple-rank vector.
@@ -47,7 +54,7 @@ std::string SerializeFlat(const char magic[4], const LabelArena& in_arena,
 struct FlatParts {
   LabelArena in;
   LabelArena out;
-  std::vector<Rank> in_vertex_rank;
+  CoupleRanks in_vertex_rank;
 };
 
 /// Parses SerializeFlat output; checks the magic and structural invariants
@@ -57,7 +64,7 @@ std::optional<FlatParts> DeserializeFlat(const char magic[4],
 
 /// As DeserializeFlat, but over an externally owned buffer (a verified file
 /// mapping): the arenas become zero-copy views into `[data, data + size)`
-/// kept alive by `keep_alive`; only the couple-rank vector (4 bytes/vertex)
+/// kept alive by `keep_alive`; only the couple-rank map (4 bytes/vertex)
 /// is materialized — with one bulk memcpy and a single validation pass.
 /// `data` is deliberately not CSC_LIFETIME_BOUND — the keep-alive handle
 /// makes the returned parts self-keeping (util/lifetime_annotations.h).

@@ -26,11 +26,11 @@ CycleCount FrozenIndex::Query(Vertex v) const {
 }
 
 CycleCount FrozenIndex::QueryThroughEdge(Vertex u, Vertex v) const {
-  return flat::QueryThroughEdge(out_, in_, in_vertex_rank_, u, v);
+  return flat::QueryThroughEdge(out_, in_, *in_vertex_rank_, u, v);
 }
 
 std::string FrozenIndex::Serialize() const {
-  return flat::SerializeFlat(kFrozenMagic, in_, out_, in_vertex_rank_);
+  return flat::SerializeFlat(kFrozenMagic, in_, out_, *in_vertex_rank_);
 }
 
 std::optional<FrozenIndex> FrozenIndex::Deserialize(const std::string& bytes) {

@@ -10,13 +10,14 @@
 
 #include "core/label_arena.h"
 #include "csc/compact_index.h"
+#include "csc/flat_csc_query.h"
 #include "util/lifetime_annotations.h"
 
 namespace csc {
 
 /// A frozen, query-only CSC index: the compact (§IV.E) labeling flattened
-/// into two packed LabelArenas (one per direction) — one allocation per
-/// direction, no per-vertex vector headers, cache-linear scans. This is the
+/// into two packed LabelArenas (one per direction) — paged run storage, no
+/// per-vertex vector headers, cache-linear scans within a run. This is the
 /// deployment format for read-heavy serving; build/maintain with CscIndex,
 /// freeze for the query tier.
 ///
@@ -51,7 +52,7 @@ class FrozenIndex {
   /// Full resident footprint including offsets and the couple-rank map.
   uint64_t MemoryBytes() const {
     return in_.MemoryBytes() + out_.MemoryBytes() +
-           in_vertex_rank_.size() * sizeof(Rank);
+           in_vertex_rank_->size() * sizeof(Rank);
   }
 
   /// The underlying arenas (L_in(v_i) / L_out(v_o) runs by original vertex).
@@ -78,9 +79,11 @@ class FrozenIndex {
   void SliceTo(const std::function<bool(Vertex)>& keep);
 
   /// Returns a copy with the named in/out runs replaced (incremental label
-  /// repair; see core/label_patch.h). Run contents are rank-encoded, so this
-  /// is only meaningful under the ordering the index was built with — the
-  /// couple-rank map is carried over unchanged.
+  /// repair; see core/label_patch.h). Only the arena pages holding an
+  /// edited run are re-encoded; every other page and the couple-rank map are
+  /// shared with this index. Run contents are rank-encoded, so this is only
+  /// meaningful under the ordering the index was built with. Edits must
+  /// satisfy LabelArena::EditsWellFormed.
   FrozenIndex WithEditedRuns(
       const std::vector<std::pair<Vertex, LabelSet>>& in_edits,
       const std::vector<std::pair<Vertex, LabelSet>>& out_edits) const {
@@ -91,16 +94,20 @@ class FrozenIndex {
     return edited;
   }
 
-  friend bool operator==(const FrozenIndex&, const FrozenIndex&) = default;
+  /// Logical equality: the couple-rank maps compare by content.
+  friend bool operator==(const FrozenIndex& a, const FrozenIndex& b) {
+    return a.in_ == b.in_ && a.out_ == b.out_ &&
+           *a.in_vertex_rank_ == *b.in_vertex_rank_;
+  }
 
  private:
   friend class CompressedIndex;
 
   LabelArena in_;   // L_in(v_i), indexed by original vertex
   LabelArena out_;  // L_out(v_o), indexed by original vertex
-  // in_vertex_rank_[v] = rank of v_i, for QueryThroughEdge's couple-hub
-  // correction.
-  std::vector<Rank> in_vertex_rank_;
+  // (*in_vertex_rank_)[v] = rank of v_i, for QueryThroughEdge's couple-hub
+  // correction; shared with every patched clone.
+  flat::CoupleRanks in_vertex_rank_ = flat::NoCoupleRanks();
 };
 
 }  // namespace csc

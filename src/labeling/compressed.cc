@@ -26,11 +26,11 @@ CycleCount CompressedIndex::Query(Vertex v) const {
 }
 
 CycleCount CompressedIndex::QueryThroughEdge(Vertex u, Vertex v) const {
-  return flat::QueryThroughEdge(out_, in_, in_vertex_rank_, u, v);
+  return flat::QueryThroughEdge(out_, in_, *in_vertex_rank_, u, v);
 }
 
 std::string CompressedIndex::Serialize() const {
-  return flat::SerializeFlat(kCompressedMagic, in_, out_, in_vertex_rank_);
+  return flat::SerializeFlat(kCompressedMagic, in_, out_, *in_vertex_rank_);
 }
 
 std::optional<CompressedIndex> CompressedIndex::Deserialize(

@@ -10,6 +10,7 @@
 
 #include "core/label_arena.h"
 #include "csc/compact_index.h"
+#include "csc/flat_csc_query.h"
 #include "util/common.h"
 #include "util/lifetime_annotations.h"
 
@@ -55,7 +56,7 @@ class CompressedIndex {
   /// Full resident footprint including offsets and the couple-rank map.
   uint64_t MemoryBytes() const {
     return in_.MemoryBytes() + out_.MemoryBytes() +
-           in_vertex_rank_.size() * sizeof(Rank);
+           in_vertex_rank_->size() * sizeof(Rank);
   }
 
   /// Mean encoded bytes per label entry (8.0 for the uncompressed formats).
@@ -90,9 +91,12 @@ class CompressedIndex {
   void SliceTo(const std::function<bool(Vertex)>& keep);
 
   /// Returns a copy with the named in/out runs replaced (incremental label
-  /// repair; see core/label_patch.h). The per-run varint delta reset makes
-  /// the edited payload byte-identical to a from-scratch encoding; only
-  /// meaningful under the ordering the index was built with.
+  /// repair; see core/label_patch.h). Only the arena pages holding an
+  /// edited run are re-encoded; every other page and the couple-rank map are
+  /// shared with this index. The per-run varint delta reset makes the edited
+  /// payload byte-identical to a from-scratch encoding; only meaningful
+  /// under the ordering the index was built with. Edits must satisfy
+  /// LabelArena::EditsWellFormed.
   CompressedIndex WithEditedRuns(
       const std::vector<std::pair<Vertex, LabelSet>>& in_edits,
       const std::vector<std::pair<Vertex, LabelSet>>& out_edits) const {
@@ -103,15 +107,18 @@ class CompressedIndex {
     return edited;
   }
 
-  friend bool operator==(const CompressedIndex&,
-                         const CompressedIndex&) = default;
+  /// Logical equality: the couple-rank maps compare by content.
+  friend bool operator==(const CompressedIndex& a, const CompressedIndex& b) {
+    return a.in_ == b.in_ && a.out_ == b.out_ &&
+           *a.in_vertex_rank_ == *b.in_vertex_rank_;
+  }
 
  private:
   LabelArena in_;   // L_in(v_i) varint runs, indexed by original vertex
   LabelArena out_;  // L_out(v_o) varint runs, indexed by original vertex
-  // in_vertex_rank_[v] = rank of v_i, for QueryThroughEdge's couple-hub
-  // correction.
-  std::vector<Rank> in_vertex_rank_;
+  // (*in_vertex_rank_)[v] = rank of v_i, for QueryThroughEdge's couple-hub
+  // correction; shared with every patched clone.
+  flat::CoupleRanks in_vertex_rank_ = flat::NoCoupleRanks();
 };
 
 }  // namespace csc

@@ -130,8 +130,12 @@ void Engine::set_slice_keep(std::function<bool(Vertex)> keep) {
 }
 
 void Engine::Swap(std::shared_ptr<CycleIndex> next) {
-  MutexLock lock(swap_mu_);
-  active_ = std::move(next);
+  {
+    MutexLock lock(swap_mu_);
+    active_.swap(next);
+  }
+  // `next` now holds the displaced snapshot. If this was its last
+  // reference, its storage is freed here, after readers are unblocked.
 }
 
 std::shared_ptr<CycleIndex> Engine::snapshot() const {

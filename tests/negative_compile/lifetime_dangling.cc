@@ -17,17 +17,17 @@ namespace {
 
 csc::LabelArena MakeArena() { return csc::LabelArena(); }
 
-// BAD: payload_data() is CSC_LIFETIME_BOUND to the arena, which dies at end
+// BAD: RunData() is CSC_LIFETIME_BOUND to the arena, which dies at end
 // of scope — the returned pointer dangles.
 const uint8_t* DanglingReturn() {
   csc::LabelArena arena;
-  return arena.payload_data();
+  return arena.RunData(0);
 }
 
 // BAD: the view is bound to a temporary arena destroyed at the end of the
 // full-expression.
 const uint8_t* DanglingFromTemporary() {
-  const uint8_t* payload = MakeArena().payload_data();
+  const uint8_t* payload = MakeArena().RunData(0);
   return payload;
 }
 

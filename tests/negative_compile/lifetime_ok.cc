@@ -11,7 +11,7 @@ namespace {
 
 // OK: the view's owner is the caller's arena, which outlives the call.
 const uint8_t* PayloadOf(const csc::LabelArena& arena) {
-  return arena.payload_data();
+  return arena.RunData(0);
 }
 
 // OK: cursor and arena share a scope; the view never outlives the owner.

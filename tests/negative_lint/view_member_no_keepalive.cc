@@ -13,8 +13,9 @@ namespace csc {
 
 // BAD: stores a raw view into someone else's payload but keeps no owner
 // handle — when the mapping (IndexFile) is destroyed or re-mapped, data_
-// dangles. Compare LabelArena, which pairs view_payload_ with an external_
-// shared_ptr, or tag the class CSC_VIEW_TYPE if the caller owns lifetime.
+// dangles. Compare LabelArena's pages, which pair their payload pointer with
+// a mapping shared_ptr, or tag the class CSC_VIEW_TYPE if the caller owns
+// lifetime.
 class CachedSlice {
  public:
   void Bind(const uint8_t* data, size_t size) {

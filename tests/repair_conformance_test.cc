@@ -8,12 +8,15 @@
 // batch lands, never the bytes; and unpatchable or dynamic backends fall
 // back to their legacy paths untouched.
 #include <atomic>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baseline/bfs_cycle.h"
+#include "core/cycle_index.h"
+#include "core/label_patch.h"
 #include "serving/engine.h"
 #include "serving/sharded_engine.h"
 #include "tests/test_util.h"
@@ -63,6 +66,15 @@ std::vector<std::vector<EdgeUpdate>> NetRestoringBatches(
       {EdgeUpdate::Remove(a0.from, a0.to), EdgeUpdate::Remove(a2.from, a2.to),
        EdgeUpdate::Insert(e1.from, e1.to)},
   };
+}
+
+std::vector<CycleCount> GroundTruthAnswers(CycleIndex& index,
+                                           const DiGraph& graph) {
+  std::vector<CycleCount> answers(graph.num_vertices());
+  for (Vertex v = 0; v < graph.num_vertices(); ++v) {
+    answers[v] = index.CountShortestCycles(v);
+  }
+  return answers;
 }
 
 std::string Serialized(ShardedEngine& engine) {
@@ -291,6 +303,62 @@ TEST_P(RepairConformanceTest, SyncPatchFailureRollsBack) {
   ASSERT_TRUE(engine.SaveTo(repaired_bytes));
   ASSERT_TRUE(oracle.SaveTo(oracle_bytes));
   EXPECT_EQ(repaired_bytes, oracle_bytes);
+}
+
+// A malformed patch is refused with nullptr rather than landing a snapshot
+// that silently misses some of its runs; the engine then derives a full
+// snapshot from the shadow. `in` and `out` name the patched vertices of the
+// two run lists, in the given order. The refused source keeps answering.
+void ExpectPatchRefused(const std::string& backend, std::vector<Vertex> in,
+                        std::vector<Vertex> out) {
+  DiGraph graph = RandomGraph(150, 2.5, 71);
+  std::unique_ptr<CycleIndex> index = MakeBackend(backend);
+  index->Build(graph);
+  const std::vector<CycleCount> before = GroundTruthAnswers(*index, graph);
+  LabelPatch patch;
+  for (Vertex v : in) patch.in_runs.emplace_back(v, LabelSet());
+  for (Vertex v : out) patch.out_runs.emplace_back(v, LabelSet());
+  EXPECT_FALSE(patch.WellFormed(graph.num_vertices()));
+  EXPECT_EQ(index->ApplyLabelPatch(patch), nullptr);
+  EXPECT_EQ(GroundTruthAnswers(*index, graph), before);
+}
+
+TEST_P(RepairConformanceTest, OutOfOrderPatchIsRefused) {
+  ExpectPatchRefused(GetParam(), {3, 90, 70}, {});
+  ExpectPatchRefused(GetParam(), {}, {100, 2});
+}
+
+TEST_P(RepairConformanceTest, DuplicateVertexPatchIsRefused) {
+  ExpectPatchRefused(GetParam(), {5, 5}, {});
+  ExpectPatchRefused(GetParam(), {1}, {0, 64, 64, 65});
+}
+
+TEST_P(RepairConformanceTest, OutOfRangeVertexPatchIsRefused) {
+  ExpectPatchRefused(GetParam(), {0, 150}, {});
+  ExpectPatchRefused(GetParam(), {}, {149, 1000000});
+}
+
+TEST_P(RepairConformanceTest, WellFormedPatchOnPageBoundariesApplies) {
+  DiGraph graph = RandomGraph(150, 2.5, 71);
+  std::unique_ptr<CycleIndex> index = MakeBackend(GetParam());
+  index->Build(graph);
+  LabelPatch patch;
+  for (Vertex v : {0u, 63u, 64u, 149u}) {
+    patch.in_runs.emplace_back(v, LabelSet());
+    patch.out_runs.emplace_back(v, LabelSet());
+  }
+  ASSERT_TRUE(patch.WellFormed(graph.num_vertices()));
+  std::unique_ptr<CycleIndex> clone = index->ApplyLabelPatch(patch);
+  ASSERT_NE(clone, nullptr);
+  // Emptied runs answer "no cycle"; the rest are unchanged.
+  for (Vertex v = 0; v < graph.num_vertices(); ++v) {
+    if (v == 0 || v == 63 || v == 64 || v == 149) {
+      EXPECT_EQ(clone->CountShortestCycles(v), CycleCount{}) << "v=" << v;
+    } else {
+      EXPECT_EQ(clone->CountShortestCycles(v), index->CountShortestCycles(v))
+          << "v=" << v;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(PatchableBackends, RepairConformanceTest,

@@ -110,9 +110,11 @@ TEST(ViewLifetimeTest, SlicedIndexSurvivesMappingDestruction) {
   }
 }
 
-// ApplyLabelPatch clones re-encode their runs into owned arenas: the clone
-// must keep serving after both the index it was cloned from and the mapping
-// that index was viewing are destroyed.
+// ApplyLabelPatch clones re-encode only the pages their runs touch and share
+// every other page with the source, view pages included; each view page
+// holds the mapping's keep-alive. So the clone must keep serving after both
+// the index it was cloned from and the last outside handle on the mapping
+// are destroyed.
 TEST(ViewLifetimeTest, PatchedCloneSurvivesSourceAndMappingDestruction) {
   TempFile file("patched");
   DiGraph graph = RandomGraph(70, 2.5, 404);
