@@ -48,24 +48,31 @@ size_t PageCount(Vertex num_vertices) {
 
 }  // namespace
 
-LabelArena::Page LabelArena::MakePage(const uint32_t* offsets,
-                                      const uint8_t* payload, uint64_t bytes,
-                                      bool view,
-                                      std::shared_ptr<const void> mapping) {
-  Page page;
-  std::memcpy(page.offsets, offsets, sizeof(page.offsets));
-  page.view = view;
+void LabelArena::ResetPages(Vertex n) {
+  const size_t pages = PageCount(n);
+  offsets_.assign(pages * kOffsetsPerPage, 0);
+  page_data_.assign(pages, nullptr);
+  page_storage_.assign(pages, PageStorage{});
+}
+
+void LabelArena::SetPagePayload(size_t page, const uint8_t* payload,
+                                uint64_t bytes, bool view,
+                                std::shared_ptr<const void> mapping) {
+  PageStorage storage;
+  storage.view = view;
+  const uint8_t* data = nullptr;
   if (view) {
-    page.data = payload;
-    page.storage = std::move(mapping);
+    data = payload;
+    storage.owner = std::move(mapping);
   } else if (bytes > 0) {
     std::shared_ptr<uint8_t[]> buffer =
         std::make_shared_for_overwrite<uint8_t[]>(bytes);
     std::memcpy(buffer.get(), payload, bytes);
-    page.data = buffer.get();
-    page.storage = std::move(buffer);
+    data = buffer.get();
+    storage.owner = std::move(buffer);
   }
-  return page;
+  page_data_[page] = data;
+  page_storage_[page] = std::move(storage);
 }
 
 // Encodes one page at a time: runs accumulate in a scratch buffer reused
@@ -89,26 +96,33 @@ class LabelArena::PageWriter {
 
   // Appends an already-encoded run (memcpy only — the source may be an
   // unaligned mapping view).
-  void AppendEncoded(const uint8_t* data, uint64_t bytes) {
-    buffer_.insert(buffer_.end(), data, data + bytes);
+  void AppendEncoded(RunSpan run) {
+    const uint64_t bytes = encoding_ == ArenaEncoding::kPacked
+                               ? run.length * kEntry
+                               : run.length;
+    buffer_.insert(buffer_.end(), run.data, run.data + bytes);
     EndRun();
   }
 
   void AppendEmpty() { EndRun(); }
 
-  // Seals the page: runs past the last appended one are empty.
-  Page Finish() {
+  // Seals the page as page `page` of `arena`: runs past the last appended
+  // one are empty.
+  void Finish(LabelArena& arena, size_t page) {
     while (runs_ < kPageRuns) EndRun();
-    Page page = MakePage(offsets_, buffer_.data(), buffer_.size(),
+    std::memcpy(arena.offsets_.data() + page * kOffsetsPerPage, offsets_,
+                sizeof(offsets_));
+    arena.SetPagePayload(page, buffer_.data(), buffer_.size(),
                          /*view=*/false, nullptr);
     buffer_.clear();
     runs_ = 0;
-    return page;
   }
 
  private:
   void EndRun() {
-    uint64_t end = packed() ? buffer_.size() / kEntry : buffer_.size();
+    uint64_t end = encoding_ == ArenaEncoding::kPacked
+                       ? buffer_.size() / kEntry
+                       : buffer_.size();
     if (end > std::numeric_limits<uint32_t>::max()) {
       std::fprintf(stderr,
                    "csc: label arena page over the 32-bit offset limit "
@@ -118,11 +132,10 @@ class LabelArena::PageWriter {
     }
     offsets_[++runs_] = static_cast<uint32_t>(end);
   }
-  bool packed() const { return encoding_ == ArenaEncoding::kPacked; }
 
   ArenaEncoding encoding_;
   std::vector<uint8_t> buffer_;
-  uint32_t offsets_[kPageRuns + 1] = {};
+  uint32_t offsets_[kOffsetsPerPage] = {};
   Vertex runs_ = 0;
 };
 
@@ -133,14 +146,14 @@ LabelArena LabelArena::Build(
   LabelArena arena;
   arena.encoding_ = encoding;
   arena.num_vertices_ = num_vertices;
-  arena.pages_.reserve(PageCount(num_vertices));
+  arena.ResetPages(num_vertices);
   PageWriter writer(encoding);
   for (Vertex v = 0; v < num_vertices; ++v) {
     const LabelSet& labels = labels_of(v);
     writer.Append(labels);
     arena.total_entries_ += labels.size();
     if ((v + 1) % kPageRuns == 0 || v + 1 == num_vertices) {
-      arena.pages_.push_back(writer.Finish());
+      writer.Finish(arena, v / kPageRuns);
     }
   }
   return arena;
@@ -194,22 +207,22 @@ uint64_t LabelArena::RunSize(Vertex v) const {
 }
 
 bool LabelArena::is_view() const {
-  for (const Page& page : pages_) {
-    if (page.view) return true;
+  for (const PageStorage& storage : page_storage_) {
+    if (storage.view) return true;
   }
   return false;
 }
 
 uint64_t LabelArena::SizeBytes() const {
-  uint64_t units = 0;
-  for (const Page& page : pages_) units += page.offsets[kPageRuns];
-  return units << unit_shift();
+  uint64_t bytes = 0;
+  for (size_t page = 0; page < num_pages(); ++page) bytes += PageBytes(page);
+  return bytes;
 }
 
 uint64_t LabelArena::OwnedBytes() const {
-  uint64_t bytes = pages_.size() * kPageOverheadBytes;
-  for (const Page& page : pages_) {
-    if (!page.view) bytes += uint64_t{page.offsets[kPageRuns]} << unit_shift();
+  uint64_t bytes = num_pages() * kPageOverheadBytes;
+  for (size_t page = 0; page < num_pages(); ++page) {
+    if (!page_storage_[page].view) bytes += PageBytes(page);
   }
   return bytes;
 }
@@ -498,24 +511,23 @@ std::optional<std::pair<Dist, Count>> LabelArena::FindHub(
 void LabelArena::Slice(const std::function<bool(Vertex)>& keep) {
   // Every page is rewritten into owned storage, so slicing a view
   // materializes just the kept runs and drops the mapping.
-  std::vector<Page> sliced;
-  sliced.reserve(pages_.size());
+  LabelArena sliced;
+  sliced.encoding_ = encoding_;
+  sliced.num_vertices_ = num_vertices_;
+  sliced.ResetPages(num_vertices_);
   PageWriter writer(encoding_);
-  uint64_t kept_entries = 0;
   for (Vertex v = 0; v < num_vertices_; ++v) {
     if (keep(v)) {
-      RunSpan run = Run(v);
-      writer.AppendEncoded(run.data, run.length << unit_shift());
-      kept_entries += RunSize(v);
+      writer.AppendEncoded(Run(v));
+      sliced.total_entries_ += RunSize(v);
     } else {
       writer.AppendEmpty();
     }
     if ((v + 1) % kPageRuns == 0 || v + 1 == num_vertices_) {
-      sliced.push_back(writer.Finish());
+      writer.Finish(sliced, v / kPageRuns);
     }
   }
-  pages_ = std::move(sliced);
-  total_entries_ = kept_entries;
+  *this = std::move(sliced);
 }
 
 bool LabelArena::EditsWellFormed(
@@ -537,7 +549,7 @@ LabelArena LabelArena::WithEditedRuns(
                  num_vertices_);
     std::abort();
   }
-  LabelArena out = *this;  // shares every page; touched ones are replaced
+  LabelArena out = *this;  // shares every payload; touched pages replaced
   PageWriter writer(encoding_);
   size_t next_edit = 0;
   while (next_edit < edits.size()) {
@@ -552,11 +564,10 @@ LabelArena LabelArena::WithEditedRuns(
         writer.Append(labels);
         ++next_edit;
       } else {
-        RunSpan run = Run(v);
-        writer.AppendEncoded(run.data, run.length << unit_shift());
+        writer.AppendEncoded(Run(v));
       }
     }
-    out.pages_[page] = writer.Finish();
+    writer.Finish(out, page);
   }
   return out;
 }
@@ -570,30 +581,24 @@ void LabelArena::AppendTo(std::string& out) const {
   std::vector<uint8_t> varints;
   for (Vertex v = 0; v < n; ++v) AppendVarint(varints, Run(v).length);
   out.append(reinterpret_cast<const char*>(varints.data()), varints.size());
-  for (const Page& page : pages_) {
-    uint64_t bytes = uint64_t{page.offsets[kPageRuns]} << unit_shift();
+  for (size_t page = 0; page < num_pages(); ++page) {
+    uint64_t bytes = PageBytes(page);
     if (bytes > 0) {
-      out.append(reinterpret_cast<const char*>(page.data), bytes);
+      out.append(reinterpret_cast<const char*>(page_data_[page]), bytes);
     }
   }
 }
 
 bool operator==(const LabelArena& a, const LabelArena& b) {
-  if (a.encoding_ != b.encoding_ || a.num_vertices_ != b.num_vertices_) {
+  if (a.encoding_ != b.encoding_ || a.num_vertices_ != b.num_vertices_ ||
+      a.offsets_ != b.offsets_) {
     return false;
   }
-  for (size_t i = 0; i < a.pages_.size(); ++i) {
-    const LabelArena::Page& x = a.pages_[i];
-    const LabelArena::Page& y = b.pages_[i];
-    if (std::memcmp(x.offsets, y.offsets, sizeof(x.offsets)) != 0) {
-      return false;
-    }
-    uint64_t bytes = uint64_t{x.offsets[LabelArena::kPageRuns]}
-                     << a.unit_shift();
-    if (bytes > 0 && x.data != y.data &&
-        std::memcmp(x.data, y.data, bytes) != 0) {
-      return false;
-    }
+  for (size_t page = 0; page < a.num_pages(); ++page) {
+    const uint8_t* x = a.page_data_[page];
+    const uint8_t* y = b.page_data_[page];
+    uint64_t bytes = a.PageBytes(page);
+    if (bytes > 0 && x != y && std::memcmp(x, y, bytes) != 0) return false;
   }
   return true;
 }
@@ -614,11 +619,9 @@ std::optional<LabelArena> LabelArena::ParseImpl(
   LabelArena arena;
   arena.encoding_ = static_cast<ArenaEncoding>(enc);
   arena.num_vertices_ = n;
-  // Pass 1: run lengths into per-page offsets, kPageRuns + 1 per page.
-  // `total` is the running absolute payload offset.
-  const size_t num_pages = PageCount(n);
-  constexpr size_t kStride = kPageRuns + 1;
-  std::vector<uint32_t> offsets(num_pages * kStride, 0);
+  arena.ResetPages(n);
+  // Pass 1: run lengths into the page table's offsets. `total` is the
+  // running absolute payload offset.
   uint64_t total = 0;
   for (uint32_t v = 0; v < n; ++v) {
     // Bounded varint decode: never read past the buffer.
@@ -635,7 +638,7 @@ std::optional<LabelArena> LabelArena::ParseImpl(
     // possibly hold; rejecting here keeps the arithmetic below overflow-free.
     if (run > size || total + run > size) return std::nullopt;
     total += run;
-    uint32_t* page = offsets.data() + v / kPageRuns * kStride;
+    uint32_t* page = arena.offsets_.data() + v / kPageRuns * kOffsetsPerPage;
     const uint32_t i = v % kPageRuns;
     uint64_t end = page[i] + run;
     if (end > std::numeric_limits<uint32_t>::max()) return std::nullopt;
@@ -643,18 +646,19 @@ std::optional<LabelArena> LabelArena::ParseImpl(
   }
   if (n % kPageRuns != 0) {
     // Runs past the last vertex are empty.
-    uint32_t* last = offsets.data() + (num_pages - 1) * kStride;
-    std::fill(last + n % kPageRuns + 1, last + kStride, last[n % kPageRuns]);
+    uint32_t* last = arena.offsets_.data() + arena.offsets_.size() -
+                     kOffsetsPerPage;
+    std::fill(last + n % kPageRuns + 1, last + kOffsetsPerPage,
+              last[n % kPageRuns]);
   }
   const int unit_shift = arena.unit_shift();
   if (total > (size - pos) >> unit_shift) return std::nullopt;
-  // Pass 2: make the pages over their payload (viewed or copied),
+  // Pass 2: point the pages at their payload (viewed or copied),
   // validating varint streams as they go.
   const uint8_t* payload = data + pos;
-  arena.pages_.reserve(num_pages);
-  for (size_t p = 0; p < num_pages; ++p) {
-    const uint32_t* page = offsets.data() + p * kStride;
-    const uint64_t bytes = uint64_t{page[kPageRuns]} << unit_shift;
+  for (size_t p = 0; p < arena.num_pages(); ++p) {
+    const uint32_t* page = arena.offsets_.data() + p * kOffsetsPerPage;
+    const uint64_t bytes = arena.PageBytes(p);
     if (arena.packed()) {
       arena.total_entries_ += page[kPageRuns];
     } else {
@@ -677,8 +681,8 @@ std::optional<LabelArena> LabelArena::ParseImpl(
         }
       }
     }
-    arena.pages_.push_back(
-        MakePage(page, payload, bytes, view, view ? keep_alive : nullptr));
+    arena.SetPagePayload(p, payload, bytes, view,
+                         view ? keep_alive : nullptr);
     payload += bytes;
   }
   pos += total << unit_shift;

@@ -37,16 +37,16 @@ enum class ArenaEncoding : uint8_t {
 /// invariant), which the merge join, the galloping skip path, and the varint
 /// delta encoding all rely on.
 ///
-/// Runs are grouped into fixed pages of kPageRuns consecutive vertices. A
-/// page is one entry of the arena's page table: its runs' offsets, a
-/// pointer to their payload, and a shared handle keeping that payload
-/// alive. Payload bytes never change once written. Copying an arena copies
-/// the page table (about 4.5 bytes per vertex) and shares every payload;
-/// WithEditedRuns re-encodes only the pages its edits touch — so a patch
-/// costs its touched pages plus that table copy, not a copy of the whole
-/// payload. A run lookup reads one table entry and then the run, as with a
-/// flat offsets array; within a run the payload stays contiguous, so the
-/// join kernels are unchanged.
+/// Runs are grouped into fixed pages of kPageRuns consecutive vertices.
+/// The page table records, per page, its runs' offsets, a pointer to their
+/// payload, and a shared handle keeping that payload alive. Payload bytes
+/// never change once written. Copying an arena copies the page table (about
+/// 4.6 bytes per vertex) and shares every payload; WithEditedRuns
+/// re-encodes only the pages its edits touch — so a patch costs its touched
+/// pages plus that table copy, not a copy of the whole payload. A run
+/// lookup reads one line of offsets and one page pointer, then the run;
+/// within a run the payload stays contiguous, so the join kernels are
+/// unchanged.
 ///
 /// A page's payload is either a buffer of its own (Build, Parse, Slice,
 /// WithEditedRuns) or a range of an externally owned buffer — e.g. a
@@ -176,13 +176,13 @@ class LabelArena {
   /// Returns a copy of this arena with the runs named in `edits` replaced by
   /// the given label sets. Only the pages holding an edited run are
   /// re-encoded (into fresh owned buffers); every other page shares its
-  /// payload with this arena, view pages included. Because the varint encoding restarts its
-  /// rank delta at every run boundary, re-encoding one run never perturbs
-  /// its neighbours — an edited arena is byte-identical to one built from
-  /// scratch over the same label sets. `edits` must satisfy EditsWellFormed
-  /// (checked; a malformed list aborts — callers holding untrusted edits
-  /// validate first). This is the storage primitive under
-  /// CycleIndex::ApplyLabelPatch (serving-tier incremental repair).
+  /// payload with this arena, view pages included. Because the varint
+  /// encoding restarts its rank delta at every run boundary, re-encoding one
+  /// run never perturbs its neighbours — an edited arena is byte-identical
+  /// to one built from scratch over the same label sets. `edits` must
+  /// satisfy EditsWellFormed (checked; a malformed list aborts — callers
+  /// holding untrusted edits validate first). This is the storage primitive
+  /// under CycleIndex::ApplyLabelPatch (serving-tier incremental repair).
   LabelArena WithEditedRuns(
       const std::vector<std::pair<Vertex, LabelSet>>& edits) const;
 
@@ -194,7 +194,7 @@ class LabelArena {
   /// file-backed payload (resident in page cache once touched), is still
   /// counted here; OwnedBytes excludes view payload.
   uint64_t MemoryBytes() const {
-    return SizeBytes() + pages_.size() * kPageOverheadBytes;
+    return SizeBytes() + num_pages() * kPageOverheadBytes;
   }
   /// Heap bytes behind this arena (the page table always; payload unless
   /// the page views an external mapping).
@@ -238,33 +238,17 @@ class LabelArena {
   friend bool operator==(const LabelArena& a, const LabelArena& b);
 
  private:
-  // The runs of kPageRuns consecutive vertices: their offsets and a pointer
-  // to their payload. Pages sit by value in the page table, so a run lookup
-  // reads one table entry and then the run; copying an arena copies the
-  // table, while the payload a page points at is immutable and shared by
-  // every copy of the page.
-  struct Page {
-    // Where the page's runs start: `storage`'s buffer, or the page's range
-    // of an external mapping.
-    const uint8_t* data = nullptr;
-    // offsets[i] .. offsets[i + 1]: run i of the page, in entries (packed)
-    // or bytes (varint) from `data`; runs past the arena's last vertex are
-    // empty. offsets[kPageRuns] is the page's payload size.
-    uint32_t offsets[kPageRuns + 1] = {};
-    // True when `storage` is an external mapping (ParseView) rather than a
-    // buffer this page filled.
+  // What keeps page p's payload alive: the page's own buffer, or an
+  // external mapping when `view` (ParseView). Null for a page of empty runs.
+  struct PageStorage {
+    std::shared_ptr<const void> owner;
     bool view = false;
-    // Keeps `data` alive; null for a page of empty runs.
-    std::shared_ptr<const void> storage;
   };
-  // A page over `offsets` whose payload is the `bytes` at `payload`: copied
-  // into a fresh buffer, or — for a view — left in place and kept alive by
-  // `mapping`.
-  static Page MakePage(const uint32_t* offsets, const uint8_t* payload,
-                       uint64_t bytes, bool view,
-                       std::shared_ptr<const void> mapping);
-  // Accounting cost of one page beyond its payload: its page-table entry.
-  static constexpr uint64_t kPageOverheadBytes = sizeof(Page);
+  static constexpr size_t kOffsetsPerPage = kPageRuns + 1;
+  // Per-page bookkeeping beyond the payload: offsets, data pointer, storage.
+  static constexpr uint64_t kPageOverheadBytes =
+      kOffsetsPerPage * sizeof(uint32_t) + sizeof(const uint8_t*) +
+      sizeof(PageStorage);
 
   // One run's payload: `length` entries (packed) or bytes (varint).
   struct CSC_VIEW_TYPE RunSpan {
@@ -272,13 +256,27 @@ class LabelArena {
     uint64_t length;
   };
   RunSpan Run(Vertex v) const CSC_LIFETIME_BOUND {
-    const Page& page = pages_[v / kPageRuns];
-    const uint32_t* offsets = page.offsets + v % kPageRuns;
-    return {page.data + (uint64_t{offsets[0]} << unit_shift()),
+    const size_t page = v / kPageRuns;
+    const uint32_t* offsets =
+        offsets_.data() + page * kOffsetsPerPage + v % kPageRuns;
+    return {page_data_[page] + (uint64_t{offsets[0]} << unit_shift()),
             uint64_t{offsets[1] - offsets[0]}};
   }
   // log2 of the payload bytes per offset unit.
   int unit_shift() const { return packed() ? 3 : 0; }
+  size_t num_pages() const { return page_data_.size(); }
+  // Page p's payload size in bytes.
+  uint64_t PageBytes(size_t page) const {
+    return uint64_t{offsets_[page * kOffsetsPerPage + kPageRuns]}
+           << unit_shift();
+  }
+  // Points page `page` at its `bytes` of payload at `payload`: copied into a
+  // fresh buffer, or — for a view — left in place and kept alive by
+  // `mapping`. The page's offsets must already be set.
+  void SetPagePayload(size_t page, const uint8_t* payload, uint64_t bytes,
+                      bool view, std::shared_ptr<const void> mapping);
+  // Sizes the page table for `n` vertices: every run empty, no payload.
+  void ResetPages(Vertex n);
 
   class PageWriter;
   static std::optional<LabelArena> ParseImpl(
@@ -288,8 +286,17 @@ class LabelArena {
   ArenaEncoding encoding_ = ArenaEncoding::kPacked;
   Vertex num_vertices_ = 0;
   uint64_t total_entries_ = 0;
-  // pages_[v / kPageRuns] holds run v; ceil(n / kPageRuns) pages.
-  std::vector<Page> pages_;
+  // The page table, one slot per kPageRuns vertices, held column-wise so a
+  // run lookup reads one line of offsets_ and a pointer from the small
+  // page_data_ array. Page p holds runs [p * kPageRuns, (p + 1) *
+  // kPageRuns): offsets_[p * kOffsetsPerPage + i] .. [+ i + 1] bound run i,
+  // in entries (packed) or bytes (varint) from page_data_[p]; runs past the
+  // last vertex are empty, and the page's last offset is its payload size.
+  // Payload bytes never change once written, so copies of an arena share
+  // them through page_storage_.
+  std::vector<uint32_t> offsets_;
+  std::vector<const uint8_t*> page_data_;
+  std::vector<PageStorage> page_storage_;
 };
 
 }  // namespace csc
