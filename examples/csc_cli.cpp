@@ -184,7 +184,12 @@ struct Serving {
   CycleCount Query(Vertex v) {
     return sharded ? sharded->Query(v) : single->CountShortestCycles(v);
   }
-  GirthInfo Girth() { return sharded ? sharded->Girth() : single->Girth(); }
+  GirthInfo Girth() {
+    if (sharded) return sharded->Girth();
+    return ComputeGirth(single->num_vertices(), [this](Vertex v) {
+      return single->CountShortestCycles(v);
+    });
+  }
 };
 
 std::optional<Serving> LoadOrBuildServing(const std::string& path,

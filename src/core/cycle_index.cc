@@ -1,13 +1,6 @@
 #include "core/cycle_index.h"
 
-#include "csc/girth.h"
-
 namespace csc {
-
-GirthInfo CycleIndex::Girth() {
-  return ComputeGirth(num_vertices(),
-                      [this](Vertex v) { return CountShortestCycles(v); });
-}
 
 CycleIndex::UpdateResult CycleIndex::InsertEdge(Vertex, Vertex) {
   return UpdateResult::kUnsupported;

@@ -12,7 +12,6 @@
 
 namespace csc {
 
-struct GirthInfo;   // csc/girth.h
 struct LabelPatch;  // core/label_patch.h
 
 /// Snapshot of a backend's identity and capabilities, for reporters and the
@@ -98,10 +97,6 @@ class CycleIndex {
   /// vertices return {} (no cycle). Non-const because memoizing backends
   /// update their cache; read-only backends do not mutate.
   virtual CycleCount CountShortestCycles(Vertex v) = 0;
-
-  /// Girth of the indexed graph (overall shortest cycle), by a full
-  /// per-vertex sweep unless the backend can do better.
-  virtual GirthInfo Girth();
 
   /// Inserts / deletes the original-graph edge (u, v), repairing the index
   /// when the backend supports in-place maintenance.

@@ -78,11 +78,7 @@ bool AdmissionQueue::AcquireUntil(uint64_t units, const Deadline& deadline) {
       return false;
     }
     waited = true;
-    if (deadline.unbounded()) {
-      room_cv_.Wait(lock);
-    } else {
-      (void)room_cv_.WaitFor(lock, deadline.remaining());
-    }
+    WaitUntil(room_cv_, lock, deadline);
   }
   if (waited) ++blocked_;
   in_flight_ += units;

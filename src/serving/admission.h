@@ -53,16 +53,25 @@ enum class [[nodiscard]] QueryStatus : uint8_t {
 
 /// An absolute time budget. Default-constructed deadlines are unbounded
 /// (never expire); `After(budget)` pins one `budget` from now. Checks are
-/// cheap (one steady_clock read), so query loops can test per chunk.
+/// cheap (one steady_clock read, none when unbounded), so query loops can
+/// test per chunk.
 class Deadline {
  public:
   using Clock = std::chrono::steady_clock;
 
   Deadline() = default;  // unbounded
+  /// Saturating: a budget that reaches past the clock's range (e.g.
+  /// milliseconds::max(), "wait forever") is unbounded rather than an
+  /// overflowed instant in the past; a non-positive budget is already
+  /// expired.
   static Deadline After(std::chrono::milliseconds budget) {
-    Deadline d;
-    d.when_ = Clock::now() + budget;
-    return d;
+    const Clock::time_point now = Clock::now();
+    if (budget <= std::chrono::milliseconds::zero()) return At(now);
+    if (budget >= std::chrono::duration_cast<std::chrono::milliseconds>(
+                      Clock::time_point::max() - now)) {
+      return Deadline();
+    }
+    return At(now + budget);
   }
   static Deadline At(Clock::time_point when) {
     Deadline d;
@@ -87,6 +96,23 @@ class Deadline {
   Clock::time_point when_ = Clock::time_point::max();
 };
 
+/// One step of a condition-wait loop bounded by `deadline`: blocks on `cv`
+/// until a notification, a spurious wakeup, or the deadline (untimed when
+/// unbounded). The caller re-checks its predicate and deadline.expired()
+/// around every call:
+///
+///   while (!condition) {
+///     if (deadline.expired()) return kTimeout;
+///     WaitUntil(cv_, lock, deadline);
+///   }
+inline void WaitUntil(CondVar& cv, MutexLock& lock, const Deadline& deadline) {
+  if (deadline.unbounded()) {
+    cv.Wait(lock);
+  } else {
+    (void)cv.WaitFor(lock, deadline.remaining());
+  }
+}
+
 /// Write-side backpressure knobs (EngineOptions::admission). Both caps
 /// bound the *async* update backlog (`unlanded_`); zero means unbounded.
 /// A batch that would push the backlog past a cap is shed with
@@ -103,9 +129,9 @@ struct AdmissionOptions {
   bool block_on_full = false;
 };
 
-/// Per-query budget carried through the deadline'd Query/BatchQuery/
-/// QueryAll/Girth/Screen overloads. Default = unbounded (identical answers
-/// to the budget-free API, with status kOk).
+/// Per-query budget carried by every Query/BatchQuery/QueryAll/Girth/Screen
+/// read. Default = unbounded: the budget-free overloads are exactly these
+/// calls with `QueryOptions{}`.
 struct QueryOptions {
   Deadline deadline;
 };
@@ -217,8 +243,8 @@ class CircuitBreaker {
 };
 
 /// Point-in-time admission/overload counters for one Engine (summable
-/// across shards via Accumulate). shed/blocked mirror RepairStats — this
-/// view adds the live backlog gauges and read-side timeout count.
+/// across shards via Accumulate): the live backlog gauges plus the
+/// lifetime shed/blocked write counts and read-side timeout count.
 struct AdmissionStats {
   uint64_t pending_batches = 0;   ///< unlanded batches right now
   uint64_t pending_ops = 0;       ///< unlanded ops right now

@@ -90,6 +90,14 @@ CscIndex::Options ShadowOptions(unsigned build_threads) {
   return shadow_options;
 }
 
+/// The read path's budget probe: the failpoint's error action makes "budget
+/// exhausted" deterministic for tests; otherwise it is a real clock check
+/// (none at all for an unbounded deadline).
+bool BudgetExhausted(const Deadline& deadline) {
+  if (CSC_FAILPOINT("engine.query_deadline")) return true;
+  return deadline.expired();
+}
+
 /// One backoff step of the retry policy: sleep, then double (capped).
 void BackoffSleep(uint32_t* backoff_ms, const RetryOptions& retry) {
   std::this_thread::sleep_for(std::chrono::milliseconds(*backoff_ms));
@@ -309,58 +317,122 @@ bool Engine::SaveTo(std::string& bytes) const {
   return index && index->SaveTo(bytes);
 }
 
-CycleCount Engine::Query(Vertex v) {
-  std::shared_ptr<CycleIndex> index = snapshot();
-  if (!index) return {};
-  if (index->thread_safe_queries()) {
-    ReaderMutexLock lock(query_mu_);
-    return index->CountShortestCycles(v);
-  }
-  WriterMutexLock lock(query_mu_);
-  return index->CountShortestCycles(v);
-}
+// --- Reads. Every read is deadline'd; the budget-free overloads are the
+// same calls with QueryOptions{} (an unbounded deadline never expires, so
+// only the "engine.query_deadline" failpoint can cut them short).
+//
+// Budget protocol: the deadline is checked cooperatively at chunk
+// boundaries, never inside a lock section, so an expired budget is observed
+// between chunks and the partial result describes exactly the prefix of
+// work that completed (`answered` mask + `completed` count). A timeout is
+// always typed (QueryStatus::kTimeout) — never a silent short answer.
+
+CycleCount Engine::Query(Vertex v) { return Query(v, QueryOptions{}).count; }
 
 std::vector<CycleCount> Engine::BatchQuery(
     const std::vector<Vertex>& vertices) {
-  std::vector<CycleCount> results(vertices.size());
-  std::shared_ptr<CycleIndex> index = snapshot();
-  if (!index) return results;
-  if (index->thread_safe_queries() && pool_.num_threads() > 1 &&
-      vertices.size() > options_.batch_grain) {
-    // The calling thread holds the reader lock for the whole fan-out, so
-    // no in-place update can start while worker chunks are scanning.
-    ReaderMutexLock lock(query_mu_);
-    ParallelFor(pool_, 0, vertices.size(), options_.batch_grain,
-                [&](size_t begin, size_t end) {
-                  for (size_t i = begin; i < end; ++i) {
-                    results[i] = index->CountShortestCycles(vertices[i]);
-                  }
-                });
-    return results;
-  }
-  WriterMutexLock lock(query_mu_);
-  for (size_t i = 0; i < vertices.size(); ++i) {
-    results[i] = index->CountShortestCycles(vertices[i]);
-  }
-  return results;
+  return BatchQuery(vertices, QueryOptions{}).counts;
 }
 
 std::vector<CycleCount> Engine::QueryAll() {
-  Vertex n = num_vertices();
-  std::vector<Vertex> vertices(n);
-  for (Vertex v = 0; v < n; ++v) vertices[v] = v;
-  return BatchQuery(vertices);
+  return QueryAll(QueryOptions{}).counts;
 }
 
-GirthInfo Engine::Girth() {
+GirthInfo Engine::Girth() { return Girth(QueryOptions{}).info; }
+
+QueryResult Engine::Query(Vertex v, const QueryOptions& options) {
   std::shared_ptr<CycleIndex> index = snapshot();
   if (!index) return {};
+  if (BudgetExhausted(options.deadline)) {
+    query_timeouts_.fetch_add(1, std::memory_order_relaxed);
+    return {CycleCount{}, QueryStatus::kTimeout};
+  }
   if (index->thread_safe_queries()) {
     ReaderMutexLock lock(query_mu_);
-    return index->Girth();
+    return {index->CountShortestCycles(v), QueryStatus::kOk};
   }
   WriterMutexLock lock(query_mu_);
-  return index->Girth();
+  return {index->CountShortestCycles(v), QueryStatus::kOk};
+}
+
+BatchQueryResult Engine::BatchQuery(const std::vector<Vertex>& vertices,
+                                    const QueryOptions& options) {
+  BatchQueryResult result;
+  result.counts.assign(vertices.size(), CycleCount{});
+  result.answered.assign(vertices.size(), 0);
+  std::shared_ptr<CycleIndex> index = snapshot();
+  if (!index) {
+    // No index answers every vertex with an empty count — a complete (if
+    // vacuous) answer, not a timeout.
+    std::fill(result.answered.begin(), result.answered.end(), char{1});
+    result.completed = vertices.size();
+    return result;
+  }
+  const bool parallel = index->thread_safe_queries() &&
+                        pool_.num_threads() > 1 &&
+                        vertices.size() > options_.batch_grain;
+  // Chunk boundaries are where the budget is checked; a parallel super-chunk
+  // keeps every pool thread busy between checks so the deadline costs no
+  // fan-out efficiency.
+  const size_t stride = std::max<size_t>(
+      1, parallel ? options_.batch_grain * pool_.num_threads()
+                  : options_.batch_grain);
+  size_t begin = 0;
+  while (begin < vertices.size()) {
+    if (BudgetExhausted(options.deadline)) {
+      query_timeouts_.fetch_add(1, std::memory_order_relaxed);
+      result.completed = begin;
+      result.status = QueryStatus::kTimeout;
+      return result;
+    }
+    const size_t end = std::min(vertices.size(), begin + stride);
+    if (parallel) {
+      // The calling thread holds the reader lock for the whole fan-out, so
+      // no in-place update can start while worker chunks are scanning.
+      ReaderMutexLock lock(query_mu_);
+      ParallelFor(pool_, begin, end, options_.batch_grain,
+                  [&](size_t lo, size_t hi) {
+                    for (size_t i = lo; i < hi; ++i) {
+                      result.counts[i] =
+                          index->CountShortestCycles(vertices[i]);
+                    }
+                  });
+    } else if (index->thread_safe_queries()) {
+      ReaderMutexLock lock(query_mu_);
+      for (size_t i = begin; i < end; ++i) {
+        result.counts[i] = index->CountShortestCycles(vertices[i]);
+      }
+    } else {
+      WriterMutexLock lock(query_mu_);
+      for (size_t i = begin; i < end; ++i) {
+        result.counts[i] = index->CountShortestCycles(vertices[i]);
+      }
+    }
+    for (size_t i = begin; i < end; ++i) result.answered[i] = 1;
+    begin = end;
+  }
+  result.completed = vertices.size();
+  return result;
+}
+
+BatchQueryResult Engine::QueryAll(const QueryOptions& options) {
+  const Vertex n = num_vertices();
+  std::vector<Vertex> vertices(n);
+  for (Vertex v = 0; v < n; ++v) vertices[v] = v;
+  return BatchQuery(vertices, options);
+}
+
+GirthResult Engine::Girth(const QueryOptions& options) {
+  // A full sweep folded into GirthInfo. The answered set is a prefix, so a
+  // timeout reports how far the sweep got (`scanned`) with the exact girth
+  // over that prefix.
+  BatchQueryResult sweep = QueryAll(options);
+  GirthResult result;
+  result.status = sweep.status;
+  result.scanned = static_cast<Vertex>(sweep.completed);
+  result.info = ComputeGirth(
+      result.scanned, [&sweep](Vertex v) { return sweep.counts[v]; });
+  return result;
 }
 
 std::shared_ptr<CycleIndex> Engine::RebuildStatic(
@@ -769,34 +841,17 @@ size_t Engine::ApplyUpdates(const std::vector<EdgeUpdate>& updates,
     if (epoch) *epoch = landed_epoch_;
     return 0;
   }
-  if (options_.async_updates) {
-    // Admission gate: refuse (or block, with block_on_full) before anything
-    // is examined or mutated, so a shed batch leaves zero trace. The
-    // failpoint's error action is a deterministic shed; its delay action
-    // stalls the admission decision itself.
-    bool shed = CSC_FAILPOINT("admission.delay");
-    bool waited = false;
-    while (!shed && BacklogFullLocked(updates.size())) {
-      if (!options_.admission.block_on_full || deadline.expired()) {
-        shed = true;
-        break;
-      }
-      waited = true;
-      if (deadline.unbounded()) {
-        epoch_cv_.Wait(lock);
-      } else {
-        (void)epoch_cv_.WaitFor(lock, deadline.remaining());
-      }
-    }
-    if (shed) {
-      ++shed_batches_;
-      if (verdicts) {
-        verdicts->assign(updates.size(), UpdateVerdict::kOverloaded);
-      }
-      if (epoch) *epoch = landed_epoch_;
-      return 0;
-    }
-    if (waited) ++blocked_admissions_;
+  // Admission gate: refuse (or block, with block_on_full) before anything
+  // is examined or mutated, so a shed batch leaves zero trace. The
+  // failpoint's error action is a deterministic shed; its delay action
+  // stalls the admission decision itself.
+  if (options_.async_updates &&
+      (CSC_FAILPOINT("admission.delay") ||
+       !AwaitBacklogRoomLocked(lock, updates.size(), deadline))) {
+    ++shed_batches_;
+    if (verdicts) verdicts->assign(updates.size(), UpdateVerdict::kOverloaded);
+    if (epoch) *epoch = landed_epoch_;
+    return 0;
   }
   std::vector<char> success(updates.size(), 0);
   for (size_t i = 0; i < updates.size(); ++i) {
@@ -899,38 +954,33 @@ size_t Engine::ApplyUpdates(const std::vector<EdgeUpdate>& updates,
   return net;
 }
 
+// --- Waits. milliseconds::max() is an unbounded Deadline (After
+// saturates), so the untimed overloads forward with it and never time out.
+
 bool Engine::WaitForEpoch(uint64_t epoch) {
-  MutexLock lock(update_mu_);
-  while (resolved_epoch_ < epoch) epoch_cv_.Wait(lock);
-  return !IsFailedLocked(epoch);
+  return WaitForEpoch(epoch, std::chrono::milliseconds::max()) ==
+         WaitStatus::kLanded;
 }
 
 WaitStatus Engine::WaitForEpoch(uint64_t epoch,
                                 std::chrono::milliseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  const Deadline deadline = Deadline::After(timeout);
   MutexLock lock(update_mu_);
   while (resolved_epoch_ < epoch) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return WaitStatus::kTimeout;
-    // Ceil so a sub-millisecond remainder still sleeps (a truncated 0ms
-    // wait would spin against the deadline check).
-    (void)epoch_cv_.WaitFor(
-        lock, std::chrono::ceil<std::chrono::milliseconds>(deadline - now));
+    if (deadline.expired()) return WaitStatus::kTimeout;
+    WaitUntil(epoch_cv_, lock, deadline);
   }
   return IsFailedLocked(epoch) ? WaitStatus::kRolledBack : WaitStatus::kLanded;
 }
 
-void Engine::Drain() {
-  MutexLock lock(update_mu_);
-  while (resolved_epoch_ < submitted_epoch_) epoch_cv_.Wait(lock);
-}
+void Engine::Drain() { (void)Drain(std::chrono::milliseconds::max()); }
 
 WaitStatus Engine::Drain(std::chrono::milliseconds timeout) {
   const Deadline deadline = Deadline::After(timeout);
   MutexLock lock(update_mu_);
   while (resolved_epoch_ < submitted_epoch_) {
     if (deadline.expired()) return WaitStatus::kTimeout;
-    (void)epoch_cv_.WaitFor(lock, deadline.remaining());
+    WaitUntil(epoch_cv_, lock, deadline);
   }
   // kLanded here means "every admitted epoch resolved", not "every batch
   // succeeded" — individual rollbacks are reported per-epoch by
@@ -940,23 +990,21 @@ WaitStatus Engine::Drain(std::chrono::milliseconds timeout) {
 
 bool Engine::AdmitProbe(size_t ops, const Deadline& deadline) {
   MutexLock lock(update_mu_);
-  if (draining_) {
+  if (draining_ || (options_.async_updates &&
+                    !AwaitBacklogRoomLocked(lock, ops, deadline))) {
     ++shed_batches_;
     return false;
   }
-  if (!options_.async_updates) return true;
+  return true;
+}
+
+bool Engine::AwaitBacklogRoomLocked(MutexLock& lock, size_t ops,
+                                    const Deadline& deadline) {
   bool waited = false;
   while (BacklogFullLocked(ops)) {
-    if (!options_.admission.block_on_full || deadline.expired()) {
-      ++shed_batches_;
-      return false;
-    }
+    if (!options_.admission.block_on_full || deadline.expired()) return false;
     waited = true;
-    if (deadline.unbounded()) {
-      epoch_cv_.Wait(lock);
-    } else {
-      (void)epoch_cv_.WaitFor(lock, deadline.remaining());
-    }
+    WaitUntil(epoch_cv_, lock, deadline);
   }
   if (waited) ++blocked_admissions_;
   return true;
@@ -1051,13 +1099,7 @@ BackendStats Engine::Stats() const {
 
 RepairStats Engine::repair_stats() const {
   MutexLock lock(update_mu_);
-  // Admission counters live outside repair_stats_ because Build/AdoptLoaded
-  // reset repair_stats_ per index generation, while shed/blocked span the
-  // engine's lifetime. Stitch them in here.
-  RepairStats stats = repair_stats_;
-  stats.shed_batches = shed_batches_;
-  stats.blocked_admissions = blocked_admissions_;
-  return stats;
+  return repair_stats_;
 }
 
 bool Engine::repair_active() const {

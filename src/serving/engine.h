@@ -63,10 +63,7 @@ struct RepairOptions {
 /// the bounded-backoff re-attempts of failed rebuilds and patches
 /// (EngineOptions::retry) — nonzero retry_successes means batches that
 /// would have rolled back under max_attempts=1 landed on a later attempt.
-/// `shed_batches` / `blocked_admissions` are the write-side overload
-/// counters (EngineOptions::admission): batches refused with kOverloaded
-/// (backlog cap or draining) and admissions that blocked on a full backlog
-/// before eventually succeeding.
+/// The write-side overload counters live in AdmissionStats.
 struct RepairStats {
   uint64_t patches = 0;
   uint64_t rebuilds = 0;
@@ -74,8 +71,6 @@ struct RepairStats {
   uint64_t label_bytes = 0;
   uint64_t retries = 0;
   uint64_t retry_successes = 0;
-  uint64_t shed_batches = 0;
-  uint64_t blocked_admissions = 0;
 
   void Accumulate(const RepairStats& other) {
     patches += other.patches;
@@ -84,8 +79,6 @@ struct RepairStats {
     label_bytes += other.label_bytes;
     retries += other.retries;
     retry_successes += other.retry_successes;
-    shed_batches += other.shed_batches;
-    blocked_admissions += other.blocked_admissions;
   }
 };
 
@@ -194,8 +187,8 @@ enum class [[nodiscard]] UpdateVerdict : uint8_t {
   kOverloaded,
 };
 
-/// Outcome of the deadline overloads of Engine::WaitForEpoch /
-/// ShardedEngine::WaitForEpochs. [[nodiscard]] for the same reason as
+/// Outcome of the timed overloads of Engine::WaitForEpoch / Drain and
+/// ShardedEngine::WaitForEpochs / Drain. [[nodiscard]] for the same reason as
 /// UpdateVerdict: dropping it silently loses a rollback or timeout report.
 enum class [[nodiscard]] WaitStatus : uint8_t {
   /// The epoch resolved and its batch is visible to queries.
@@ -209,7 +202,7 @@ enum class [[nodiscard]] WaitStatus : uint8_t {
   kTimeout,
 };
 
-/// Outcome of a deadline'd single query (Engine::Query(v, QueryOptions)).
+/// Outcome of a single query under QueryOptions (Engine::Query).
 /// On kTimeout the count is the zero value — the budget expired before the
 /// lookup ran.
 struct QueryResult {
@@ -231,9 +224,9 @@ struct BatchQueryResult {
   QueryStatus status = QueryStatus::kOk;
 };
 
-/// Outcome of a deadline'd girth scan: the exact girth over the `scanned`
-/// vertices answered before the budget ran out. kOk means the whole vertex
-/// space was scanned and `info` equals the budget-free Girth().
+/// Outcome of a girth scan under QueryOptions: the exact girth over the
+/// `scanned` vertices answered before the budget ran out. kOk means the
+/// whole vertex space was scanned and `info` is the graph's girth.
 struct GirthResult {
   GirthInfo info;
   Vertex scanned = 0;
@@ -243,6 +236,13 @@ struct GirthResult {
 /// The serving facade: owns one CycleIndex backend chosen by name, fans
 /// batched queries out across a thread pool, and keeps dynamic updates and
 /// readers consistent through warm snapshot swaps.
+///
+/// Reads: every read has one implementation, the QueryOptions form; the
+/// budget-free overloads are that form with QueryOptions{} (an unbounded
+/// deadline), and the untimed waits are the timed ones with
+/// milliseconds::max(). Batched reads run in chunks of batch_grain
+/// vertices (times the pool size when parallel), each under one query-lock
+/// section, with the budget checked between chunks.
 ///
 /// Concurrency model: readers obtain the active index via an atomic
 /// shared_ptr snapshot, so a query never observes a half-applied swap and an
@@ -317,12 +317,13 @@ class Engine {
 
   bool SaveTo(std::string& bytes) const;
 
+  // --- Budget-free reads: the QueryOptions overloads below with
+  // QueryOptions{}, returning just the answers.
+
   /// SCCnt(v) against the current snapshot.
   CycleCount Query(Vertex v);
 
-  /// Batched SCCnt, positionally aligned with `vertices`. Parallel across
-  /// the pool when the backend's queries are thread-safe, sequential
-  /// otherwise; results are identical either way.
+  /// Batched SCCnt, positionally aligned with `vertices`.
   std::vector<CycleCount> BatchQuery(const std::vector<Vertex>& vertices);
 
   /// SCCnt for every vertex [0, n).
@@ -330,22 +331,21 @@ class Engine {
 
   GirthInfo Girth();
 
-  // --- Deadline'd query overloads (serving/admission.h QueryOptions). The
-  // budget is checked cooperatively at chunk boundaries — never inside a
-  // lock section — so an expired deadline yields a typed partial result
+  // --- Reads under a budget (serving/admission.h QueryOptions). The budget
+  // is checked cooperatively at chunk boundaries — never inside a lock
+  // section — so an expired deadline yields a typed partial result
   // (QueryStatus::kTimeout with the work completed so far), not a hang and
-  // not a silent truncation. With the default (unbounded) options the
-  // answers are identical to the budget-free API. Defined in
-  // serving/engine_deadline.cc.
+  // not a silent truncation.
 
   /// SCCnt(v) under a budget. kTimeout when the deadline expired before
   /// the lookup ran (single lookups are not interruptible mid-flight).
   QueryResult Query(Vertex v, const QueryOptions& options);
 
-  /// Batched SCCnt under a budget: scans `vertices` in chunks (parallel
-  /// across the pool when the backend allows, like the budget-free
-  /// overload), checking the deadline between chunks. See BatchQueryResult
-  /// for the partial-result contract.
+  /// Batched SCCnt under a budget: scans `vertices` in chunks, parallel
+  /// across the pool when the backend's queries are thread-safe and the
+  /// batch exceeds batch_grain, sequential otherwise (results are identical
+  /// either way), checking the deadline between chunks. See
+  /// BatchQueryResult for the partial-result contract.
   BatchQueryResult BatchQuery(const std::vector<Vertex>& vertices,
                               const QueryOptions& options);
 
@@ -425,12 +425,14 @@ class Engine {
   /// As WaitForEpoch, but gives up after `timeout`: kTimeout means the
   /// epoch had not resolved when the deadline expired (the caller is no
   /// longer blocked on a wedged worker), kLanded / kRolledBack mirror the
-  /// true / false of the untimed overload.
+  /// true / false of the untimed overload, which is this call with
+  /// milliseconds::max() (Deadline::After saturates to unbounded).
   WaitStatus WaitForEpoch(uint64_t epoch, std::chrono::milliseconds timeout)
       CSC_EXCLUDES(update_mu_);
 
   /// Blocks until every update admitted so far has resolved (landed or
-  /// rolled back) — the coarse read-your-writes barrier.
+  /// rolled back) — the coarse read-your-writes barrier. Drain(timeout)
+  /// with milliseconds::max().
   void Drain() CSC_EXCLUDES(update_mu_);
 
   /// As Drain(), but gives up after `timeout`: kLanded when every admitted
@@ -599,6 +601,14 @@ class Engine {
   /// AdmissionOptions. The ops cap is only enforced against a non-empty
   /// backlog so an oversized single batch still admits eventually.
   bool BacklogFullLocked(size_t incoming_ops) const CSC_REQUIRES(update_mu_);
+  /// The admission wait: true once the backlog has room for `ops` — at
+  /// once, or after blocking on epoch_cv_ (admission.block_on_full) until
+  /// the worker lands enough of it; false when full without
+  /// block_on_full or once `deadline` expires. Counts blocked admissions;
+  /// the caller counts the shed.
+  bool AwaitBacklogRoomLocked(MutexLock& lock, size_t ops,
+                              const Deadline& deadline)
+      CSC_REQUIRES(update_mu_);
   /// Repair pipeline: replays `ops` onto the shadow and lands the result on
   /// the snapshot — a bounded label patch when the damage fits the budgets,
   /// a full snapshot derived from the shadow's labeling otherwise (one

@@ -115,14 +115,10 @@ void ShardedEngine::ForEachShard(const std::function<void(uint32_t)>& body) {
 }
 
 void ShardedEngine::RecomputeOwnership() {
-  owned_.assign(num_shards(), {});
-  for (Vertex v = 0; v < num_vertices_; ++v) {
-    owned_[ShardOf(v)].push_back(v);
-  }
   shard_info_.assign(num_shards(), {});
-  for (uint32_t s = 0; s < num_shards(); ++s) {
-    shard_info_[s].shard = s;
-    shard_info_[s].owned_vertices = static_cast<Vertex>(owned_[s].size());
+  for (uint32_t s = 0; s < num_shards(); ++s) shard_info_[s].shard = s;
+  for (Vertex v = 0; v < num_vertices_; ++v) {
+    ++shard_info_[ShardOf(v)].owned_vertices;
   }
 }
 
@@ -366,15 +362,32 @@ bool ShardedEngine::SaveTo(std::string& bytes) const {
   return true;
 }
 
+// --- Reads. As in Engine, every read is the QueryOptions form; the
+// budget-free overloads forward with QueryOptions{}. Degraded shards are
+// metered on every read, but with the default DegradedServingOptions (no
+// gate cap) an unbounded read can neither time out nor trip the breaker,
+// so it never sheds.
+
 CycleCount ShardedEngine::Query(Vertex v) { return QueryWithStatus(v).count; }
 
 ShardedQueryResult ShardedEngine::QueryWithStatus(Vertex v) {
-  if (num_vertices_ == 0 || v >= num_vertices_) return {};
-  uint32_t s = ShardOf(v);
-  if (shard_state_[s] == ShardState::kHealthy) {
-    return {shards_[s]->Query(v), ShardState::kHealthy};
-  }
-  return {DegradedAnswer(v), shard_state_[s]};
+  return QueryWithStatus(v, QueryOptions{});
+}
+
+std::vector<CycleCount> ShardedEngine::BatchQuery(
+    const std::vector<Vertex>& vertices) {
+  return BatchQuery(vertices, QueryOptions{}).counts;
+}
+
+std::vector<CycleCount> ShardedEngine::QueryAll() {
+  return QueryAll(QueryOptions{}).counts;
+}
+
+GirthInfo ShardedEngine::Girth() { return Girth(QueryOptions{}).info; }
+
+std::vector<ScreeningHit> ShardedEngine::Screen(Dist max_cycle_length,
+                                                size_t top_k) {
+  return Screen(max_cycle_length, top_k, QueryOptions{}).hits;
 }
 
 ShardedQueryResult ShardedEngine::QueryWithStatus(Vertex v,
@@ -387,7 +400,7 @@ ShardedQueryResult ShardedEngine::QueryWithStatus(Vertex v,
   }
   ShardedQueryResult result;
   result.served_by = shard_state_[s];
-  result.count = MeteredDegradedAnswer(v, options.deadline, &result.status);
+  result.count = DegradedAnswer(v, options.deadline, &result.status);
   return result;
 }
 
@@ -398,31 +411,8 @@ bool ShardedEngine::AllHealthy() const {
 
 bool ShardedEngine::degraded() const { return !AllHealthy(); }
 
-CycleCount ShardedEngine::DegradedAnswer(Vertex v) const {
-  // Exact but index-free: the BFS baseline recomputes SCCnt(v) from the
-  // fallback graph on every query. Vertices past the graph (reserve ids
-  // never added) have no cycles by construction.
-  if (fallback_graph_ && v < fallback_graph_->num_vertices()) {
-    return BfsCountCycles(*fallback_graph_, v);
-  }
-  return {};
-}
-
-std::vector<CycleCount> ShardedEngine::ShardAnswers(
-    uint32_t s, const std::vector<Vertex>& vertices) {
-  if (shard_state_[s] == ShardState::kHealthy) {
-    return shards_[s]->BatchQuery(vertices);
-  }
-  std::vector<CycleCount> answers(vertices.size());
-  for (size_t k = 0; k < vertices.size(); ++k) {
-    answers[k] = DegradedAnswer(vertices[k]);
-  }
-  return answers;
-}
-
-CycleCount ShardedEngine::MeteredDegradedAnswer(Vertex v,
-                                                const Deadline& deadline,
-                                                QueryStatus* status) {
+CycleCount ShardedEngine::DegradedAnswer(Vertex v, const Deadline& deadline,
+                                         QueryStatus* status) {
   fallback_queries_.fetch_add(1, std::memory_order_relaxed);
   if (deadline.expired()) {
     // A deadline missed before the BFS even starts is the load signal the
@@ -446,7 +436,13 @@ CycleCount ShardedEngine::MeteredDegradedAnswer(Vertex v,
     *status = QueryStatus::kShed;
     return {};
   }
-  CycleCount answer = DegradedAnswer(v);
+  // Exact but index-free: the BFS baseline recomputes SCCnt(v) from the
+  // fallback graph on every query. Vertices past the graph (reserve ids
+  // never added) have no cycles by construction.
+  CycleCount answer;
+  if (fallback_graph_ && v < fallback_graph_->num_vertices()) {
+    answer = BfsCountCycles(*fallback_graph_, v);
+  }
   fallback_gate_.Release(1);
   if (deadline.expired()) {
     // The BFS finished late: the answer is exact, so return it, but type
@@ -461,7 +457,7 @@ CycleCount ShardedEngine::MeteredDegradedAnswer(Vertex v,
   return answer;
 }
 
-BatchQueryResult ShardedEngine::ShardAnswersDeadlined(
+BatchQueryResult ShardedEngine::ShardAnswers(
     uint32_t s, const std::vector<Vertex>& vertices,
     const QueryOptions& options) {
   if (shard_state_[s] == ShardState::kHealthy) {
@@ -472,8 +468,7 @@ BatchQueryResult ShardedEngine::ShardAnswersDeadlined(
   result.answered.assign(vertices.size(), 0);
   for (size_t k = 0; k < vertices.size(); ++k) {
     QueryStatus status = QueryStatus::kOk;
-    CycleCount answer = MeteredDegradedAnswer(vertices[k], options.deadline,
-                                              &status);
+    CycleCount answer = DegradedAnswer(vertices[k], options.deadline, &status);
     if (status == QueryStatus::kTimeout) {
       // Out of budget: stop the sweep here. The late answer (if any) is
       // dropped rather than reported — a timeout result describes only
@@ -561,107 +556,13 @@ bool ShardedEngine::ReloadShard(uint32_t s, const std::string& path,
   return true;
 }
 
-std::vector<CycleCount> ShardedEngine::BatchQuery(
-    const std::vector<Vertex>& vertices) {
-  std::vector<CycleCount> results(vertices.size());
-  if (shards_.empty() || num_vertices_ == 0) return results;
-  // Split positions by owner; out-of-range vertices keep the empty answer
-  // (the same thing every backend returns for them).
-  std::vector<std::vector<size_t>> positions(num_shards());
-  for (size_t i = 0; i < vertices.size(); ++i) {
-    if (vertices[i] < num_vertices_) {
-      positions[ShardOf(vertices[i])].push_back(i);
-    }
-  }
-  ForEachShard([&](uint32_t s) {
-    if (positions[s].empty()) return;
-    std::vector<Vertex> sub;
-    sub.reserve(positions[s].size());
-    for (size_t i : positions[s]) sub.push_back(vertices[i]);
-    std::vector<CycleCount> answers = ShardAnswers(s, sub);
-    for (size_t k = 0; k < positions[s].size(); ++k) {
-      results[positions[s][k]] = answers[k];
-    }
-  });
-  return results;
-}
-
-std::vector<CycleCount> ShardedEngine::QueryAll() {
-  std::vector<CycleCount> results(num_vertices_);
-  ForEachShard([&](uint32_t s) {
-    std::vector<CycleCount> answers = ShardAnswers(s, owned_[s]);
-    for (size_t k = 0; k < owned_[s].size(); ++k) {
-      results[owned_[s][k]] = answers[k];
-    }
-  });
-  return results;
-}
-
-GirthInfo ShardedEngine::Girth() {
-  // Each shard sweeps only its owned vertices (in ascending id order);
-  // merging local minima reproduces ComputeGirth over [0, n) exactly.
-  std::vector<GirthInfo> local(num_shards());
-  ForEachShard([&](uint32_t s) {
-    std::vector<CycleCount> answers = ShardAnswers(s, owned_[s]);
-    GirthInfo info;
-    for (size_t k = 0; k < answers.size(); ++k) {
-      const CycleCount& answer = answers[k];
-      if (answer.count == 0) continue;
-      if (answer.length < info.girth) {
-        info.girth = answer.length;
-        info.num_girth_vertices = 1;
-        info.example_vertex = owned_[s][k];
-      } else if (answer.length == info.girth) {
-        ++info.num_girth_vertices;
-      }
-    }
-    local[s] = info;
-  });
-  GirthInfo merged;
-  for (const GirthInfo& info : local) {
-    merged.girth = std::min(merged.girth, info.girth);
-  }
-  for (const GirthInfo& info : local) {
-    if (info.girth != merged.girth || info.girth == kInfDist) continue;
-    merged.num_girth_vertices += info.num_girth_vertices;
-    merged.example_vertex = std::min(merged.example_vertex, info.example_vertex);
-  }
-  return merged;
-}
-
-std::vector<ScreeningHit> ShardedEngine::Screen(Dist max_cycle_length,
-                                                size_t top_k) {
-  // Per-shard survivor sets, each already truncated to top_k (a global
-  // top-k hit is necessarily in its own shard's top-k), merged and ranked.
-  std::vector<std::vector<ScreeningHit>> local(num_shards());
-  ForEachShard([&](uint32_t s) {
-    std::vector<CycleCount> answers = ShardAnswers(s, owned_[s]);
-    std::vector<ScreeningHit>& hits = local[s];
-    for (size_t k = 0; k < answers.size(); ++k) {
-      const CycleCount& cc = answers[k];
-      if (cc.count == 0 || cc.length > max_cycle_length) continue;
-      hits.push_back({owned_[s][k], cc});
-    }
-    std::sort(hits.begin(), hits.end(), ScreeningHitBefore);
-    if (hits.size() > top_k) hits.resize(top_k);
-  });
-  std::vector<ScreeningHit> merged;
-  for (std::vector<ScreeningHit>& hits : local) {
-    merged.insert(merged.end(), hits.begin(), hits.end());
-  }
-  std::sort(merged.begin(), merged.end(), ScreeningHitBefore);
-  if (merged.size() > top_k) merged.resize(top_k);
-  return merged;
-}
-
 BatchQueryResult ShardedEngine::BatchQuery(const std::vector<Vertex>& vertices,
                                            const QueryOptions& options) {
   BatchQueryResult result;
   result.counts.assign(vertices.size(), CycleCount{});
   result.answered.assign(vertices.size(), 0);
   if (shards_.empty() || num_vertices_ == 0) {
-    // Matches the budget-free overload: everything answers empty — a
-    // complete (if vacuous) answer.
+    // Everything answers empty — a complete (if vacuous) answer.
     std::fill(result.answered.begin(), result.answered.end(), char{1});
     result.completed = vertices.size();
     return result;
@@ -684,7 +585,7 @@ BatchQueryResult ShardedEngine::BatchQuery(const std::vector<Vertex>& vertices,
     std::vector<Vertex> sub;
     sub.reserve(positions[s].size());
     for (size_t i : positions[s]) sub.push_back(vertices[i]);
-    local[s] = ShardAnswersDeadlined(s, sub, options);
+    local[s] = ShardAnswers(s, sub, options);
   });
   for (uint32_t s = 0; s < num_shards(); ++s) {
     for (size_t k = 0; k < local[s].answered.size(); ++k) {
@@ -699,53 +600,29 @@ BatchQueryResult ShardedEngine::BatchQuery(const std::vector<Vertex>& vertices,
 }
 
 BatchQueryResult ShardedEngine::QueryAll(const QueryOptions& options) {
-  BatchQueryResult result;
-  result.counts.assign(num_vertices_, CycleCount{});
-  result.answered.assign(num_vertices_, 0);
-  std::vector<BatchQueryResult> local(num_shards());
-  ForEachShard([&](uint32_t s) {
-    local[s] = ShardAnswersDeadlined(s, owned_[s], options);
-  });
-  for (uint32_t s = 0; s < num_shards(); ++s) {
-    for (size_t k = 0; k < local[s].answered.size(); ++k) {
-      if (!local[s].answered[k]) continue;
-      result.counts[owned_[s][k]] = local[s].counts[k];
-      result.answered[owned_[s][k]] = 1;
-      ++result.completed;
-    }
-    result.status = MergeStatus(result.status, local[s].status);
-  }
-  return result;
+  std::vector<Vertex> vertices(num_vertices_);
+  for (Vertex v = 0; v < num_vertices_; ++v) vertices[v] = v;
+  return BatchQuery(vertices, options);
 }
 
 GirthResult ShardedEngine::Girth(const QueryOptions& options) {
-  // The same exact merge as the budget-free Girth, folded over only the
-  // vertices the deadline'd sweep answered: on kOk the sweep was complete
-  // and the fold reproduces Girth() exactly (min length, count of
+  // One fold over the merged sweep. Unanswered vertices hold the empty
+  // count, which the fold skips, so a partial sweep yields the exact girth
+  // over the vertices answered in budget (min length, count of
   // minimum-achieving vertices, lowest example id).
-  GirthResult result;
   BatchQueryResult sweep = QueryAll(options);
+  GirthResult result;
   result.status = sweep.status;
-  for (size_t v = 0; v < sweep.answered.size(); ++v) {
-    if (!sweep.answered[v]) continue;
-    ++result.scanned;
-    const CycleCount& answer = sweep.counts[v];
-    if (answer.count == 0) continue;
-    if (answer.length < result.info.girth) {
-      result.info.girth = answer.length;
-      result.info.num_girth_vertices = 1;
-      result.info.example_vertex = static_cast<Vertex>(v);
-    } else if (answer.length == result.info.girth) {
-      ++result.info.num_girth_vertices;
-    }
-  }
+  result.scanned = static_cast<Vertex>(sweep.completed);
+  result.info = ComputeGirth(num_vertices_,
+                             [&sweep](Vertex v) { return sweep.counts[v]; });
   return result;
 }
 
 ScreenResult ShardedEngine::Screen(Dist max_cycle_length, size_t top_k,
                                    const QueryOptions& options) {
-  // Survivors among the vertices answered in budget, ranked and truncated
-  // exactly like the budget-free sweep (which this reproduces on kOk).
+  // Survivors among the vertices answered in budget, ranked by
+  // ScreeningHitBefore and truncated to top_k.
   ScreenResult result;
   BatchQueryResult sweep = QueryAll(options);
   result.status = sweep.status;
@@ -812,40 +689,29 @@ size_t ShardedEngine::ApplyUpdates(const std::vector<EdgeUpdate>& updates,
 }
 
 bool ShardedEngine::WaitForEpochs(const std::vector<uint64_t>& epochs) {
-  if (epochs.size() != shards_.size()) return false;
-  // Sequential waits: every shard resolves concurrently regardless, so the
-  // total is bounded by the slowest shard either way.
-  bool landed = true;
-  for (uint32_t s = 0; s < num_shards(); ++s) {
-    landed = shards_[s]->WaitForEpoch(epochs[s]) && landed;
-  }
-  return landed;
+  return WaitForEpochs(epochs, std::chrono::milliseconds::max()) ==
+         WaitStatus::kLanded;
 }
 
 WaitStatus ShardedEngine::WaitForEpochs(const std::vector<uint64_t>& epochs,
                                         std::chrono::milliseconds timeout) {
   if (epochs.size() != shards_.size()) return WaitStatus::kRolledBack;
-  // One shared deadline: each sequential wait gets whatever time is left,
-  // so the caller's bound holds regardless of how many shards are slow.
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  // Sequential waits under one shared deadline: every shard resolves
+  // concurrently regardless, and each wait gets whatever time is left, so
+  // the caller's bound holds however many shards are slow. An unbounded
+  // deadline hands every shard milliseconds::max(), itself unbounded.
+  const Deadline deadline = Deadline::After(timeout);
   WaitStatus worst = WaitStatus::kLanded;
   for (uint32_t s = 0; s < num_shards(); ++s) {
-    const auto now = std::chrono::steady_clock::now();
-    const auto remaining =
-        now < deadline
-            ? std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                                    now)
-            : std::chrono::milliseconds(0);
-    WaitStatus status = shards_[s]->WaitForEpoch(epochs[s], remaining);
+    WaitStatus status =
+        shards_[s]->WaitForEpoch(epochs[s], deadline.remaining());
     if (status == WaitStatus::kTimeout) return WaitStatus::kTimeout;
     if (status == WaitStatus::kRolledBack) worst = WaitStatus::kRolledBack;
   }
   return worst;
 }
 
-void ShardedEngine::Drain() {
-  for (const auto& shard : shards_) shard->Drain();
-}
+void ShardedEngine::Drain() { (void)Drain(std::chrono::milliseconds::max()); }
 
 WaitStatus ShardedEngine::Drain(std::chrono::milliseconds timeout) {
   // One shared deadline across the K sequential waits, mirroring

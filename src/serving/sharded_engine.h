@@ -136,9 +136,10 @@ enum class ShardState : uint8_t {
 struct ShardedQueryResult {
   CycleCount count;
   ShardState served_by = ShardState::kHealthy;
-  /// kOk unless the deadline'd overload timed out (kTimeout) or the
-  /// degraded-path breaker/gate refused the work (kShed). The budget-free
-  /// overload always reports kOk.
+  /// kOk unless the deadline expired (kTimeout) or the degraded-path
+  /// breaker/gate refused the work (kShed). An unbounded read on a healthy
+  /// owner, or on a degraded one under the default DegradedServingOptions,
+  /// always reports kOk.
   QueryStatus status = QueryStatus::kOk;
 };
 
@@ -178,10 +179,10 @@ struct ShardInfo {
 /// The sharded serving tier: the vertex space is partitioned across K
 /// per-shard Engine instances, per-vertex queries are routed to the owner,
 /// and whole-graph sweeps (QueryAll / Girth / screening) are decomposed
-/// into K owned-range sweeps that run concurrently and merge exactly —
-/// girth is the min over shards, screening is the ranked union of the
-/// per-shard survivor sets. Answers are bit-identical to a single Engine on
-/// the same graph for every shard count.
+/// into K owned-vertex sweeps that run concurrently and merge into one
+/// answer vector, which girth and screening then fold. Answers are
+/// bit-identical to a single Engine on the same graph for every shard
+/// count.
 ///
 /// Ownership rule: vertex v is owned by shard_fn(v); edge (u, v) is owned
 /// by the shard owning u, which is where the edge is accounted (update
@@ -282,15 +283,16 @@ class ShardedEngine {
   /// SCCnt for every vertex: each shard sweeps its owned range in parallel.
   std::vector<CycleCount> QueryAll();
 
-  /// Girth as the exact merge of per-shard owned-range sweeps.
+  /// Girth folded over the merged all-vertex sweep.
   GirthInfo Girth();
 
-  /// The screening sweep (TopKByCycleCount semantics) decomposed across
-  /// shards: per-shard survivor sets are merged, ranked by (count desc,
-  /// length asc, vertex asc), and truncated to `top_k`.
+  /// The screening sweep (TopKByCycleCount semantics): the survivors of the
+  /// merged all-vertex sweep, ranked by (count desc, length asc, vertex
+  /// asc) and truncated to `top_k`.
   std::vector<ScreeningHit> Screen(Dist max_cycle_length, size_t top_k);
 
-  // --- Deadline'd sweeps. One caller deadline is shared across the K-shard
+  // --- Reads under a budget; the budget-free overloads above are these with
+  // QueryOptions{}. One caller deadline is shared across the K-shard
   // fan-out (each shard checks the same absolute budget, the way
   // WaitForEpochs shares one timeout): the caller's bound holds no matter
   // how many shards are slow. Partial results carry per-vertex `answered`
@@ -307,7 +309,7 @@ class ShardedEngine {
 
   /// Deadline'd girth: the exact merge over every vertex answered in
   /// budget (`scanned` of num_vertices()); kOk means the sweep completed
-  /// and `info` equals the budget-free Girth() answer.
+  /// and `info` is the graph's girth.
   GirthResult Girth(const QueryOptions& options);
 
   /// Deadline'd screening sweep (see ScreenResult).
@@ -336,7 +338,8 @@ class ShardedEngine {
   /// Blocks until every shard has resolved its epoch from one ApplyUpdates
   /// call (as returned through `epochs`). True iff every shard landed its
   /// batch; false if any shard rolled it back (failed rebuild) or the
-  /// vector does not match the shard count.
+  /// vector does not match the shard count. The timed form below with
+  /// milliseconds::max().
   [[nodiscard]] bool WaitForEpochs(const std::vector<uint64_t>& epochs);
 
   /// Deadline form: one shared deadline across all K waits (not per-shard
@@ -349,7 +352,8 @@ class ShardedEngine {
                                          std::chrono::milliseconds timeout);
 
   /// Blocks until every update admitted so far has resolved on every shard
-  /// — the coarse read-your-writes barrier of the async mode.
+  /// — the coarse read-your-writes barrier of the async mode. Drain(timeout)
+  /// with milliseconds::max().
   void Drain();
 
   /// Deadline'd drain: one shared budget across the K sequential waits.
@@ -452,23 +456,18 @@ class ShardedEngine {
                    const std::vector<std::string>* parse_faults,
                    std::string* error);
   /// Exact BFS answer (or empty placeholder) for a vertex owned by a
-  /// non-healthy shard.
-  CycleCount DegradedAnswer(Vertex v) const;
-  /// DegradedAnswer behind the breaker, the concurrency gate, and the
+  /// non-healthy shard, behind the breaker, the concurrency gate, and the
   /// caller's deadline; `*status` reports how the vertex was served. On
   /// kShed the count is empty; on kTimeout the count is whatever the BFS
   /// produced before the budget was noticed (exact if non-empty).
-  CycleCount MeteredDegradedAnswer(Vertex v, const Deadline& deadline,
-                                   QueryStatus* status);
-  /// BatchQuery routed through shard `s`'s serving state.
-  std::vector<CycleCount> ShardAnswers(uint32_t s,
-                                       const std::vector<Vertex>& vertices);
-  /// Deadline'd ShardAnswers: a healthy shard sweeps with the budget; a
-  /// degraded one meters vertex by vertex — shed vertices stay unanswered
-  /// (the sweep continues), a timeout stops the sweep.
-  BatchQueryResult ShardAnswersDeadlined(uint32_t s,
-                                         const std::vector<Vertex>& vertices,
-                                         const QueryOptions& options);
+  CycleCount DegradedAnswer(Vertex v, const Deadline& deadline,
+                            QueryStatus* status);
+  /// BatchQuery routed through shard `s`'s serving state: a healthy shard
+  /// sweeps with the budget; a degraded one meters vertex by vertex — shed
+  /// vertices stay unanswered (the sweep continues), a timeout stops the
+  /// sweep.
+  BatchQueryResult ShardAnswers(uint32_t s, const std::vector<Vertex>& vertices,
+                                const QueryOptions& options);
   bool AllHealthy() const;
 
   ShardedEngineOptions options_;
@@ -477,7 +476,6 @@ class ShardedEngine {
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<Engine>> shards_;
   Vertex num_vertices_ = 0;
-  std::vector<std::vector<Vertex>> owned_;  // owned_[s]: sorted owned ids
   std::vector<ShardInfo> shard_info_;
   // Degraded-mode state, always sized to shards_ (all-healthy outside
   // tolerant loads). Written only by the exclusive-access entry points

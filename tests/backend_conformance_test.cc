@@ -9,7 +9,6 @@
 
 #include "baseline/bfs_cycle.h"
 #include "core/cycle_index.h"
-#include "csc/girth.h"
 #include "graph/digraph.h"
 #include "tests/test_util.h"
 #include "util/random.h"
@@ -66,19 +65,6 @@ TEST_P(BackendConformanceTest, AnswersMatchBfsOnRandomGraphs) {
     backend->Build(graph);
     ExpectMatchesBfs(*backend, graph, "random");
   }
-}
-
-TEST_P(BackendConformanceTest, GirthMatchesSweep) {
-  auto backend = Make();
-  DiGraph graph = RandomGraph(50, 2.0, 42);
-  backend->Build(graph);
-  BfsCycleCounter reference(graph);
-  GirthInfo expected = ComputeGirth(
-      graph.num_vertices(), [&](Vertex v) { return reference.CountCycles(v); });
-  GirthInfo actual = backend->Girth();
-  EXPECT_EQ(actual.girth, expected.girth);
-  EXPECT_EQ(actual.num_girth_vertices, expected.num_girth_vertices);
-  EXPECT_EQ(actual.example_vertex, expected.example_vertex);
 }
 
 // The shared update scenario: close a 2-cycle, retract it, then grow a new

@@ -425,19 +425,26 @@ TEST(EngineTest, ThrowingRebuildRollsBackSyncAndAsync) {
   }
 }
 
+// Every backend's girth through the engine's one sweep, against a fold over
+// the BFS baseline.
 TEST(EngineTest, GirthMatchesReference) {
-  DiGraph graph = RandomGraph(60, 2.0, 12);
-  BfsCycleCounter reference(graph);
-  GirthInfo expected = ComputeGirth(
-      graph.num_vertices(), [&](Vertex v) { return reference.CountCycles(v); });
-  for (const char* name : {"frozen", "cached", "bfs"}) {
-    EngineOptions options;
-    options.backend = name;
-    Engine engine(options);
-    ASSERT_TRUE(engine.Build(graph));
-    GirthInfo actual = engine.Girth();
-    EXPECT_EQ(actual.girth, expected.girth) << name;
-    EXPECT_EQ(actual.num_girth_vertices, expected.num_girth_vertices) << name;
+  for (const DiGraph& graph :
+       {RandomGraph(60, 2.0, 12), RandomGraph(50, 2.0, 42)}) {
+    BfsCycleCounter reference(graph);
+    GirthInfo expected = ComputeGirth(graph.num_vertices(), [&](Vertex v) {
+      return reference.CountCycles(v);
+    });
+    for (const std::string& name : AllBackendNames()) {
+      EngineOptions options;
+      options.backend = name;
+      Engine engine(options);
+      ASSERT_TRUE(engine.Build(graph)) << name;
+      GirthInfo actual = engine.Girth();
+      EXPECT_EQ(actual.girth, expected.girth) << name;
+      EXPECT_EQ(actual.num_girth_vertices, expected.num_girth_vertices)
+          << name;
+      EXPECT_EQ(actual.example_vertex, expected.example_vertex) << name;
+    }
   }
 }
 

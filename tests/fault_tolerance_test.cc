@@ -366,6 +366,33 @@ TEST_F(FaultToleranceTest, WaitForEpochDeadlineTimesOut) {
             WaitStatus::kLanded);
 }
 
+// "Wait forever" as a timeout: milliseconds::max() saturates to an
+// unbounded deadline, so both waits ride out a delayed rebuild and report
+// the landing instead of an immediate kTimeout from an overflowed deadline.
+TEST_F(FaultToleranceTest, MaxTimeoutWaitsUntilLanded) {
+  EngineOptions options;
+  options.backend = "frozen";
+  options.async_updates = true;
+  Engine engine(options);
+  ASSERT_TRUE(engine.Build(Figure2Graph()));
+  FailpointAction delay;
+  delay.mode = FailpointMode::kDelay;
+  delay.delay_ms = 50;
+  Failpoints::Instance().Set("engine.rebuild", delay);
+  uint64_t epoch = 0;
+  engine.ApplyUpdates({EdgeUpdate::Insert(7, 6)}, nullptr, &epoch);
+  EXPECT_EQ(engine.WaitForEpoch(epoch, std::chrono::milliseconds::max()),
+            WaitStatus::kLanded);
+  EXPECT_EQ(engine.resolved_epoch(), epoch);
+
+  Failpoints::Instance().Set("engine.rebuild", delay);
+  engine.ApplyUpdates({EdgeUpdate::Remove(7, 6)}, nullptr, &epoch);
+  EXPECT_EQ(engine.Drain(std::chrono::milliseconds::max()),
+            WaitStatus::kLanded);
+  EXPECT_EQ(engine.resolved_epoch(), epoch);
+  EXPECT_EQ(engine.Query(6), (CycleCount{6, 3}));  // Figure 2 again
+}
+
 TEST_F(FaultToleranceTest, ShardedWaitForEpochsDeadline) {
   DiGraph graph = RandomGraph(40, 2.0, 7);
   ShardedEngineOptions options;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -8,6 +9,8 @@
 #include <vector>
 
 #include "baseline/bfs_cycle.h"
+#include "csc/girth.h"
+#include "csc/screening.h"
 #include "graph/digraph.h"
 #include "serving/admission.h"
 #include "serving/engine.h"
@@ -71,6 +74,10 @@ TEST_F(OverloadTest, DeadlineBasics) {
   EXPECT_LE(ahead.remaining(), milliseconds(60'000));
 
   EXPECT_TRUE(Deadline::At(Deadline::Clock::now() - milliseconds(1)).expired());
+
+  // A budget past the clock's range saturates to "forever" instead of
+  // overflowing into an already-expired instant.
+  EXPECT_TRUE(Deadline::After(milliseconds::max()).unbounded());
 }
 
 TEST_F(OverloadTest, RateLimiterRefills) {
@@ -180,7 +187,6 @@ TEST_F(OverloadTest, BacklogCapRejectsWhenWorkerWedged) {
   EXPECT_EQ(verdicts[0], UpdateVerdict::kOverloaded);
   EXPECT_TRUE(engine.WaitForEpoch(epoch));
   EXPECT_EQ(engine.admission_stats().shed_batches, 1u);
-  EXPECT_EQ(engine.repair_stats().shed_batches, 1u);
 
   engine.Drain();
   EXPECT_EQ(engine.Health(), HealthState::kHealthy);
@@ -249,10 +255,15 @@ TEST_F(OverloadTest, PartialBatchQueryUnderDeadline) {
   options.num_threads = 1;  // sequential chunks: the partial is a prefix
   options.batch_grain = 4;
   Engine engine(options);
-  ASSERT_TRUE(engine.Build(RingGraph(12)));
+  const DiGraph graph = RingGraph(12);
+  ASSERT_TRUE(engine.Build(graph));
   std::vector<Vertex> all(12);
   for (Vertex v = 0; v < 12; ++v) all[v] = v;
-  const std::vector<CycleCount> full = engine.BatchQuery(all);
+  // The oracle is the BFS baseline, not the engine's own budget-free call
+  // (which is this same sweep with QueryOptions{}).
+  BfsCycleCounter reference(graph);
+  std::vector<CycleCount> full(all.size());
+  for (Vertex v : all) full[v] = reference.CountCycles(v);
 
   // Expired before the first chunk: typed timeout, zero work claimed.
   QueryOptions expired;
@@ -275,7 +286,7 @@ TEST_F(OverloadTest, PartialBatchQueryUnderDeadline) {
   }
   EXPECT_GE(engine.admission_stats().query_timeouts, 2u);
 
-  // Unbounded budget, no failpoint: identical to the budget-free API.
+  // Unbounded budget, no failpoint: the complete answer.
   result = engine.BatchQuery(all, QueryOptions{});
   EXPECT_EQ(result.status, QueryStatus::kOk);
   EXPECT_EQ(result.completed, all.size());
@@ -289,34 +300,50 @@ TEST_F(OverloadTest, PartialBatchQueryUnderDeadline) {
   GirthResult girth = engine.Girth(QueryOptions{});
   EXPECT_EQ(girth.status, QueryStatus::kOk);
   EXPECT_EQ(girth.scanned, 12u);
-  GirthInfo oracle = engine.Girth();
+  GirthInfo oracle = ComputeGirth(
+      graph.num_vertices(), [&](Vertex v) { return reference.CountCycles(v); });
   EXPECT_EQ(girth.info.girth, oracle.girth);
   EXPECT_EQ(girth.info.num_girth_vertices, oracle.num_girth_vertices);
   EXPECT_EQ(girth.info.example_vertex, oracle.example_vertex);
 }
 
-TEST_F(OverloadTest, ShardedDeadlineSweepsMatchBudgetFree) {
+TEST_F(OverloadTest, ShardedDeadlineSweepsMatchBfs) {
   ShardedEngineOptions options;
   options.backend = "frozen";
   options.num_shards = 2;
   ShardedEngine engine(options);
   DiGraph graph = RandomGraph(40, 2.0, 11);
   ASSERT_TRUE(engine.Build(graph));
+  // Oracles from the BFS baseline: the budget-free sweeps are these same
+  // calls with QueryOptions{}, so comparing against them proves nothing.
+  BfsCycleCounter reference(graph);
+  std::vector<CycleCount> bfs(graph.num_vertices());
+  for (Vertex v = 0; v < graph.num_vertices(); ++v) {
+    bfs[v] = reference.CountCycles(v);
+  }
 
   BatchQueryResult sweep = engine.QueryAll(QueryOptions{});
   EXPECT_EQ(sweep.status, QueryStatus::kOk);
   EXPECT_EQ(sweep.completed, engine.num_vertices());
-  EXPECT_EQ(sweep.counts, engine.QueryAll());
+  EXPECT_EQ(sweep.counts, bfs);
 
   GirthResult girth = engine.Girth(QueryOptions{});
-  GirthInfo oracle = engine.Girth();
+  GirthInfo oracle =
+      ComputeGirth(graph.num_vertices(), [&](Vertex v) { return bfs[v]; });
   EXPECT_EQ(girth.status, QueryStatus::kOk);
   EXPECT_EQ(girth.info.girth, oracle.girth);
   EXPECT_EQ(girth.info.num_girth_vertices, oracle.num_girth_vertices);
   EXPECT_EQ(girth.info.example_vertex, oracle.example_vertex);
 
   ScreenResult screen = engine.Screen(10, 5, QueryOptions{});
-  std::vector<ScreeningHit> expected = engine.Screen(10, 5);
+  std::vector<ScreeningHit> expected;
+  for (Vertex v = 0; v < graph.num_vertices(); ++v) {
+    if (bfs[v].count != 0 && bfs[v].length <= 10) {
+      expected.push_back({v, bfs[v]});
+    }
+  }
+  std::sort(expected.begin(), expected.end(), ScreeningHitBefore);
+  if (expected.size() > 5) expected.resize(5);
   EXPECT_EQ(screen.status, QueryStatus::kOk);
   ASSERT_EQ(screen.hits.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {

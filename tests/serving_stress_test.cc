@@ -96,22 +96,28 @@ TEST_P(ServingStressTest, EngineReadersVsUpdates) {
   DiGraph graph = RandomGraph(40, 2.0, 77);
   std::vector<Edge> edges = ToggleEdges(graph);
   ASSERT_FALSE(edges.empty());
-  EngineOptions options;
-  options.backend = GetParam();
-  options.num_threads = 2;
-  options.batch_grain = 8;  // force parallel chunks inside BatchQuery
-  // Keep the dynamic index minimal so repeated delete rounds stay exact
-  // (ignored by static backends).
-  options.build.maintain_inverted_index = true;
-  Engine engine(options);
-  ASSERT_TRUE(engine.Build(graph));
-  RunStress(
-      graph, edges, [&] { return engine.QueryAll(); },
-      [&](const std::vector<EdgeUpdate>& batch) {
-        return engine.ApplyUpdates(batch);
-      });
-  // Net-zero toggles: the final answers equal the initial graph's.
-  EXPECT_EQ(engine.QueryAll(), BfsReference(graph));
+  // Two threads force parallel chunks inside BatchQuery; one thread takes
+  // the sequential chunk path, which on thread-safe backends reads under
+  // the shared query lock beside in-place updates.
+  for (unsigned threads : {2u, 1u}) {
+    SCOPED_TRACE(testing::Message() << "num_threads=" << threads);
+    EngineOptions options;
+    options.backend = GetParam();
+    options.num_threads = threads;
+    options.batch_grain = 8;
+    // Keep the dynamic index minimal so repeated delete rounds stay exact
+    // (ignored by static backends).
+    options.build.maintain_inverted_index = true;
+    Engine engine(options);
+    ASSERT_TRUE(engine.Build(graph));
+    RunStress(
+        graph, edges, [&] { return engine.QueryAll(); },
+        [&](const std::vector<EdgeUpdate>& batch) {
+          return engine.ApplyUpdates(batch);
+        });
+    // Net-zero toggles: the final answers equal the initial graph's.
+    EXPECT_EQ(engine.QueryAll(), BfsReference(graph));
+  }
 }
 
 TEST_P(ServingStressTest, ShardedEngineReadersVsUpdates) {
