@@ -377,6 +377,11 @@ BatchQueryResult Engine::BatchQuery(const std::vector<Vertex>& vertices,
   const size_t stride = std::max<size_t>(
       1, parallel ? options_.batch_grain * pool_.num_threads()
                   : options_.batch_grain);
+  auto scan = [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      result.counts[i] = index->CountShortestCycles(vertices[i]);
+    }
+  };
   size_t begin = 0;
   while (begin < vertices.size()) {
     if (BudgetExhausted(options.deadline)) {
@@ -386,27 +391,18 @@ BatchQueryResult Engine::BatchQuery(const std::vector<Vertex>& vertices,
       return result;
     }
     const size_t end = std::min(vertices.size(), begin + stride);
-    if (parallel) {
-      // The calling thread holds the reader lock for the whole fan-out, so
-      // no in-place update can start while worker chunks are scanning.
+    if (index->thread_safe_queries()) {
+      // The calling thread holds the reader lock for the whole chunk, so no
+      // in-place update can start while worker chunks are scanning.
       ReaderMutexLock lock(query_mu_);
-      ParallelFor(pool_, begin, end, options_.batch_grain,
-                  [&](size_t lo, size_t hi) {
-                    for (size_t i = lo; i < hi; ++i) {
-                      result.counts[i] =
-                          index->CountShortestCycles(vertices[i]);
-                    }
-                  });
-    } else if (index->thread_safe_queries()) {
-      ReaderMutexLock lock(query_mu_);
-      for (size_t i = begin; i < end; ++i) {
-        result.counts[i] = index->CountShortestCycles(vertices[i]);
+      if (parallel) {
+        ParallelFor(pool_, begin, end, options_.batch_grain, scan);
+      } else {
+        scan(begin, end);
       }
     } else {
       WriterMutexLock lock(query_mu_);
-      for (size_t i = begin; i < end; ++i) {
-        result.counts[i] = index->CountShortestCycles(vertices[i]);
-      }
+      scan(begin, end);
     }
     for (size_t i = begin; i < end; ++i) result.answered[i] = 1;
     begin = end;

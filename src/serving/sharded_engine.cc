@@ -365,8 +365,9 @@ bool ShardedEngine::SaveTo(std::string& bytes) const {
 // --- Reads. As in Engine, every read is the QueryOptions form; the
 // budget-free overloads forward with QueryOptions{}. Degraded shards are
 // metered on every read, but with the default DegradedServingOptions (no
-// gate cap) an unbounded read can neither time out nor trip the breaker,
-// so it never sheds.
+// gate cap) an unbounded read can neither time out nor fail the gate, so it
+// records no breaker failure and sheds only while bounded reads have left
+// the breaker open.
 
 CycleCount ShardedEngine::Query(Vertex v) { return QueryWithStatus(v).count; }
 

@@ -138,8 +138,9 @@ struct ShardedQueryResult {
   ShardState served_by = ShardState::kHealthy;
   /// kOk unless the deadline expired (kTimeout) or the degraded-path
   /// breaker/gate refused the work (kShed). An unbounded read on a healthy
-  /// owner, or on a degraded one under the default DegradedServingOptions,
-  /// always reports kOk.
+  /// owner always reports kOk; on a degraded one under the default
+  /// DegradedServingOptions it sheds only while bounded reads have left
+  /// the breaker open.
   QueryStatus status = QueryStatus::kOk;
 };
 
