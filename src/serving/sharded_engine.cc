@@ -363,11 +363,11 @@ bool ShardedEngine::SaveTo(std::string& bytes) const {
 }
 
 // --- Reads. As in Engine, every read is the QueryOptions form; the
-// budget-free overloads forward with QueryOptions{}. Degraded shards are
-// metered on every read, but with the default DegradedServingOptions (no
-// gate cap) an unbounded read can neither time out nor fail the gate, so it
-// records no breaker failure and sheds only while bounded reads have left
-// the breaker open.
+// budget-free overloads forward with QueryOptions{}. Every degraded read
+// passes through DegradedAnswer, but only a bounded read is metered: an
+// unbounded one (what the budget-free overloads send, and they return no
+// status) bypasses the breaker and waits for a gate slot, so it always
+// gets the exact BFS answer.
 
 CycleCount ShardedEngine::Query(Vertex v) { return QueryWithStatus(v).count; }
 
@@ -424,14 +424,19 @@ CycleCount ShardedEngine::DegradedAnswer(Vertex v, const Deadline& deadline,
     *status = QueryStatus::kTimeout;
     return {};
   }
-  if (!fallback_breaker_.Allow()) {
+  // An unbounded read can never time out, so it is no evidence for the
+  // breaker either way, and it must not be shed: it skips the breaker
+  // (taking no half-open probe slot) and blocks for a gate slot.
+  const bool metered = !deadline.unbounded();
+  if (metered && !fallback_breaker_.Allow()) {
     // Breaker-open sheds are the breaker working, not new evidence of
     // failure — no RecordFailure, or an open breaker could never close.
     fallback_shed_.fetch_add(1, std::memory_order_relaxed);
     *status = QueryStatus::kShed;
     return {};
   }
-  if (!fallback_gate_.TryAcquire(1)) {
+  if (metered ? !fallback_gate_.TryAcquire(1)
+              : !fallback_gate_.AcquireUntil(1, deadline)) {
     fallback_shed_.fetch_add(1, std::memory_order_relaxed);
     fallback_breaker_.RecordFailure();
     *status = QueryStatus::kShed;
@@ -453,7 +458,7 @@ CycleCount ShardedEngine::DegradedAnswer(Vertex v, const Deadline& deadline,
     *status = QueryStatus::kTimeout;
     return answer;
   }
-  fallback_breaker_.RecordSuccess();
+  if (metered) fallback_breaker_.RecordSuccess();
   *status = QueryStatus::kOk;
   return answer;
 }

@@ -40,12 +40,14 @@ uint32_t ContiguousRangeShard(Vertex v, uint32_t num_shards,
 /// sits behind a circuit breaker plus a concurrency gate, and sheds
 /// (QueryStatus::kShed) instead of melting the box.
 struct DegradedServingOptions {
-  /// Max BFS fallback answers in flight at once; 0 = unmetered. A query
-  /// that finds the gate full is shed (and counts a breaker failure).
+  /// Max BFS fallback answers in flight at once; 0 = unmetered. A bounded
+  /// query that finds the gate full is shed (and counts a breaker failure);
+  /// an unbounded one waits for a slot.
   uint32_t max_concurrent_fallbacks = 0;
   /// Breaker over the fallback path: deadline misses and gate rejections
-  /// count as failures; once open, degraded queries shed cheaply until a
-  /// cooldown probe succeeds.
+  /// count as failures; once open, bounded degraded queries shed cheaply
+  /// until a cooldown probe succeeds. Unbounded queries (the budget-free
+  /// overloads) bypass the breaker and are never shed.
   CircuitBreakerOptions breaker;
 };
 
@@ -137,10 +139,8 @@ struct ShardedQueryResult {
   CycleCount count;
   ShardState served_by = ShardState::kHealthy;
   /// kOk unless the deadline expired (kTimeout) or the degraded-path
-  /// breaker/gate refused the work (kShed). An unbounded read on a healthy
-  /// owner always reports kOk; on a degraded one under the default
-  /// DegradedServingOptions it sheds only while bounded reads have left
-  /// the breaker open.
+  /// breaker/gate refused the work (kShed). An unbounded read always
+  /// reports kOk.
   QueryStatus status = QueryStatus::kOk;
 };
 
@@ -273,8 +273,9 @@ class ShardedEngine {
   ShardedQueryResult QueryWithStatus(Vertex v);
 
   /// Deadline'd routed query. A healthy owner answers within the budget or
-  /// reports kTimeout; a degraded owner's BFS fallback is metered — breaker
-  /// open or gate full reports kShed with an empty count.
+  /// reports kTimeout; under a bounded deadline a degraded owner's BFS
+  /// fallback is metered — breaker open or gate full reports kShed with an
+  /// empty count.
   ShardedQueryResult QueryWithStatus(Vertex v, const QueryOptions& options);
 
   /// Batched SCCnt, positionally aligned with `vertices`; the batch is
@@ -460,7 +461,9 @@ class ShardedEngine {
   /// non-healthy shard, behind the breaker, the concurrency gate, and the
   /// caller's deadline; `*status` reports how the vertex was served. On
   /// kShed the count is empty; on kTimeout the count is whatever the BFS
-  /// produced before the budget was noticed (exact if non-empty).
+  /// produced before the budget was noticed (exact if non-empty). An
+  /// unbounded deadline skips the breaker and blocks on the gate, so it
+  /// always reports kOk.
   CycleCount DegradedAnswer(Vertex v, const Deadline& deadline,
                             QueryStatus* status);
   /// BatchQuery routed through shard `s`'s serving state: a healthy shard

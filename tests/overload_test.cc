@@ -502,6 +502,80 @@ TEST_F(OverloadTest, BreakerMetersDegradedBfsFallback) {
   EXPECT_EQ(healthy.served_by, ShardState::kHealthy);
 }
 
+TEST_F(OverloadTest, UnboundedDegradedReadsNeverShed) {
+  // The budget-free overloads return no status, so they must never be
+  // shed: an unbounded read skips the breaker and waits for a gate slot.
+  DiGraph graph = RandomGraph(400, 2.0, 5);
+  ShardedEngineOptions options;
+  options.backend = "frozen";
+  options.num_shards = 2;
+  ShardedEngine builder(options);
+  ASSERT_TRUE(builder.Build(graph));
+  std::string bundle;
+  ASSERT_TRUE(builder.SaveTo(bundle));
+
+  ShardedEngineOptions tolerant = options;
+  tolerant.tolerate_faults = true;
+  tolerant.degraded.breaker.failure_threshold = 2;
+  tolerant.degraded.breaker.cooldown = milliseconds(30'000);
+  tolerant.degraded.max_concurrent_fallbacks = 1;
+  Arm("sharded.load_shard", FailpointMode::kError, /*countdown=*/1);
+  ShardedEngine degraded(tolerant);
+  std::string error;
+  ASSERT_TRUE(degraded.LoadFrom(bundle, &error)) << error;
+  Failpoints::Instance().ClearAll();
+  degraded.SetFallbackGraph(graph);
+  ASSERT_EQ(degraded.shard_state(0), ShardState::kDegraded);
+
+  BfsCycleCounter reference(graph);
+  std::vector<CycleCount> bfs(graph.num_vertices());
+  for (Vertex v = 0; v < graph.num_vertices(); ++v) {
+    bfs[v] = reference.CountCycles(v);
+  }
+  GirthInfo oracle =
+      ComputeGirth(graph.num_vertices(), [&](Vertex v) { return bfs[v]; });
+
+  // Bounded reads trip the breaker open; a bounded read is now shed.
+  QueryOptions expired;
+  expired.deadline = Deadline::After(milliseconds(0));
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(degraded.QueryWithStatus(0, expired).status,
+              QueryStatus::kTimeout);
+  }
+  ASSERT_EQ(degraded.degraded_stats().breaker_state,
+            CircuitBreaker::State::kOpen);
+  QueryOptions generous;
+  generous.deadline = Deadline::After(milliseconds(30'000));
+  EXPECT_EQ(degraded.QueryWithStatus(0, generous).status, QueryStatus::kShed);
+
+  // Unbounded reads still get the exact BFS answers.
+  ShardedQueryResult point = degraded.QueryWithStatus(0);
+  EXPECT_EQ(point.status, QueryStatus::kOk);
+  EXPECT_EQ(point.served_by, ShardState::kDegraded);
+  EXPECT_EQ(point.count, bfs[0]);
+  EXPECT_EQ(degraded.Query(0), bfs[0]);
+  EXPECT_EQ(degraded.QueryAll(), bfs);
+  GirthInfo girth = degraded.Girth();
+  EXPECT_EQ(girth.girth, oracle.girth);
+  EXPECT_EQ(girth.num_girth_vertices, oracle.num_girth_vertices);
+  EXPECT_EQ(girth.example_vertex, oracle.example_vertex);
+  // They bypass the breaker: it stays open, and they took no probe slot.
+  EXPECT_EQ(degraded.degraded_stats().breaker_state,
+            CircuitBreaker::State::kOpen);
+
+  // Concurrent unbounded sweeps contend for the one-slot gate: they wait
+  // for it instead of shedding.
+  std::vector<std::thread> readers;
+  std::atomic<int> mismatches{0};
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      if (degraded.QueryAll() != bfs) mismatches.fetch_add(1);
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 // TSan-filtered stress scenario (see .github/workflows/ci.yml): a writer
 // floods single-edge toggle batches against a capped backlog while
 // deadline'd readers sweep concurrently. Proves (a) the backlog never
