@@ -373,10 +373,15 @@ BatchQueryResult Engine::BatchQuery(const std::vector<Vertex>& vertices,
                         vertices.size() > options_.batch_grain;
   // Chunk boundaries are where the budget is checked; a parallel super-chunk
   // keeps every pool thread busy between checks so the deadline costs no
-  // fan-out efficiency.
-  const size_t stride = std::max<size_t>(
-      1, parallel ? options_.batch_grain * pool_.num_threads()
-                  : options_.batch_grain);
+  // fan-out efficiency. An unbounded parallel sweep has nothing to check:
+  // it fans out once, under one reader lock, paying no per-chunk barrier.
+  size_t stride = options_.batch_grain;
+  if (parallel) {
+    stride = options.deadline.unbounded()
+                 ? vertices.size()
+                 : options_.batch_grain * pool_.num_threads();
+  }
+  stride = std::max<size_t>(1, stride);
   auto scan = [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
       result.counts[i] = index->CountShortestCycles(vertices[i]);

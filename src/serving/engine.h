@@ -242,12 +242,14 @@ struct GirthResult {
 /// deadline), and the untimed waits are the timed ones with
 /// milliseconds::max(). Batched reads run in chunks of batch_grain
 /// vertices (times the pool size when parallel), each under one query-lock
-/// section, with the budget checked between chunks. On a backend that
-/// updates in place ("csc", "cached", "bfs", "precompute") an update can
-/// land between two chunks, so a sweep overlapping updates (QueryAll,
-/// Girth, a long BatchQuery) may mix answers read before and after it —
-/// each answer exact for its own graph state, the whole matching none.
-/// Snapshot-swapping backends keep one snapshot for the whole sweep.
+/// section, with the budget checked between chunks; an unbounded parallel
+/// sweep is a single chunk. On a backend that updates in place ("csc",
+/// "cached", "bfs", "precompute") an update can land between two chunks,
+/// so a chunked sweep overlapping updates (QueryAll, Girth, a long
+/// BatchQuery; bounded, or on one thread) may mix answers read before and
+/// after it — each answer exact for its own graph state, the whole
+/// matching none. Snapshot-swapping backends keep one snapshot for the
+/// whole sweep.
 ///
 /// Concurrency model: readers obtain the active index via an atomic
 /// shared_ptr snapshot, so a query never observes a half-applied swap and an
@@ -360,8 +362,9 @@ class Engine {
   /// Girth under a budget: an all-vertex shortest-cycle sweep merged into
   /// GirthInfo, so a timeout still yields the exact girth over the scanned
   /// prefix (GirthResult::scanned). On an in-place backend a concurrent
-  /// update can tear the result: girth and num_girth_vertices may fold
-  /// chunks read before and after it (see the class comment).
+  /// update can tear a chunked sweep's result: girth and
+  /// num_girth_vertices may fold chunks read before and after it (see the
+  /// class comment).
   GirthResult Girth(const QueryOptions& options);
 
   /// Applies a batch of edge updates; returns the batch's net-applied count

@@ -115,10 +115,14 @@ void ShardedEngine::ForEachShard(const std::function<void(uint32_t)>& body) {
 }
 
 void ShardedEngine::RecomputeOwnership() {
-  shard_info_.assign(num_shards(), {});
-  for (uint32_t s = 0; s < num_shards(); ++s) shard_info_[s].shard = s;
+  owned_.assign(num_shards(), {});
   for (Vertex v = 0; v < num_vertices_; ++v) {
-    ++shard_info_[ShardOf(v)].owned_vertices;
+    owned_[ShardOf(v)].push_back(v);
+  }
+  shard_info_.assign(num_shards(), {});
+  for (uint32_t s = 0; s < num_shards(); ++s) {
+    shard_info_[s].shard = s;
+    shard_info_[s].owned_vertices = static_cast<Vertex>(owned_[s].size());
   }
 }
 
@@ -574,41 +578,51 @@ BatchQueryResult ShardedEngine::BatchQuery(const std::vector<Vertex>& vertices,
     return result;
   }
   std::vector<std::vector<size_t>> positions(num_shards());
+  std::vector<std::vector<Vertex>> per_shard(num_shards());
   for (size_t i = 0; i < vertices.size(); ++i) {
     if (vertices[i] < num_vertices_) {
-      positions[ShardOf(vertices[i])].push_back(i);
+      uint32_t s = ShardOf(vertices[i]);
+      positions[s].push_back(i);
+      per_shard[s].push_back(vertices[i]);
     } else {
       // Out-of-range vertices keep the empty answer and cost no budget.
       result.answered[i] = 1;
       ++result.completed;
     }
   }
-  // Each shard checks the same absolute deadline; local[] keeps the
-  // fan-out race-free (disjoint writes, merged on the calling thread).
-  std::vector<BatchQueryResult> local(num_shards());
-  ForEachShard([&](uint32_t s) {
-    if (positions[s].empty()) return;
-    std::vector<Vertex> sub;
-    sub.reserve(positions[s].size());
-    for (size_t i : positions[s]) sub.push_back(vertices[i]);
-    local[s] = ShardAnswers(s, sub, options);
-  });
-  for (uint32_t s = 0; s < num_shards(); ++s) {
-    for (size_t k = 0; k < local[s].answered.size(); ++k) {
-      if (!local[s].answered[k]) continue;
-      result.counts[positions[s][k]] = local[s].counts[k];
-      result.answered[positions[s][k]] = 1;
-      ++result.completed;
-    }
-    result.status = MergeStatus(result.status, local[s].status);
-  }
+  FanOut(per_shard, &positions, options, &result);
   return result;
 }
 
 BatchQueryResult ShardedEngine::QueryAll(const QueryOptions& options) {
-  std::vector<Vertex> vertices(num_vertices_);
-  for (Vertex v = 0; v < num_vertices_; ++v) vertices[v] = v;
-  return BatchQuery(vertices, options);
+  BatchQueryResult result;
+  result.counts.assign(num_vertices_, CycleCount{});
+  result.answered.assign(num_vertices_, 0);
+  FanOut(owned_, nullptr, options, &result);
+  return result;
+}
+
+void ShardedEngine::FanOut(const std::vector<std::vector<Vertex>>& per_shard,
+                           const std::vector<std::vector<size_t>>* positions,
+                           const QueryOptions& options,
+                           BatchQueryResult* result) {
+  // Each shard checks the same absolute deadline; local[] keeps the
+  // fan-out race-free (disjoint writes, merged on the calling thread).
+  std::vector<BatchQueryResult> local(per_shard.size());
+  ForEachShard([&](uint32_t s) {
+    if (per_shard[s].empty()) return;
+    local[s] = ShardAnswers(s, per_shard[s], options);
+  });
+  for (uint32_t s = 0; s < local.size(); ++s) {
+    for (size_t k = 0; k < local[s].answered.size(); ++k) {
+      if (!local[s].answered[k]) continue;
+      const size_t at = positions ? (*positions)[s][k] : per_shard[s][k];
+      result->counts[at] = local[s].counts[k];
+      result->answered[at] = 1;
+      ++result->completed;
+    }
+    result->status = MergeStatus(result->status, local[s].status);
+  }
 }
 
 GirthResult ShardedEngine::Girth(const QueryOptions& options) {

@@ -472,6 +472,13 @@ class ShardedEngine {
   /// sweep.
   BatchQueryResult ShardAnswers(uint32_t s, const std::vector<Vertex>& vertices,
                                 const QueryOptions& options);
+  /// The shared fan-out of BatchQuery and QueryAll: shard s answers
+  /// `per_shard[s]`, and its k-th answer lands in `result` at
+  /// `(*positions)[s][k]` — or, when `positions` is null, at the vertex id
+  /// `per_shard[s][k]` itself (the all-vertex sweep over owned_).
+  void FanOut(const std::vector<std::vector<Vertex>>& per_shard,
+              const std::vector<std::vector<size_t>>* positions,
+              const QueryOptions& options, BatchQueryResult* result);
   bool AllHealthy() const;
 
   ShardedEngineOptions options_;
@@ -480,6 +487,7 @@ class ShardedEngine {
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<Engine>> shards_;
   Vertex num_vertices_ = 0;
+  std::vector<std::vector<Vertex>> owned_;  // owned_[s]: sorted owned ids
   std::vector<ShardInfo> shard_info_;
   // Degraded-mode state, always sized to shards_ (all-healthy outside
   // tolerant loads). Written only by the exclusive-access entry points
